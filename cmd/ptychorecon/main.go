@@ -25,13 +25,11 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
+	"ptychopath/internal/obs"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/tiling"
-	"ptychopath/internal/trace"
 
 	"ptychopath"
 )
@@ -112,7 +110,7 @@ func checkpointWriter(path string) func(iter int, slices []*grid.Complex2D) erro
 }
 
 func run(cfg config) error {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder()
 	var prob *solver.Problem
 	var err error
 	rec.Time("load", func() { prob, err = dataio.ReadFile(cfg.in) })
@@ -146,82 +144,39 @@ func run(cfg config) error {
 		}
 	}
 
-	var slices []*grid.Complex2D
-	switch cfg.alg {
-	case "serial":
-		var r *solver.Result
-		rec.Time("reconstruct", func() {
-			r, err = solver.Reconstruct(prob, init.Slices, solver.Options{
-				StepSize: cfg.step, Iterations: cfg.iters, Mode: solver.Batch, OnIteration: onIter,
-				SnapshotEvery: snapEvery, OnSnapshot: onSnap,
-			})
+	rows, cols, err := parseMesh(cfg.mesh)
+	if err != nil {
+		return err
+	}
+	plan, err := engine.New(engine.Spec{
+		Algorithm: cfg.alg, MeshRows: rows, MeshCols: cols,
+		StepSize: cfg.step, Iterations: cfg.iters, RoundsPerIteration: cfg.rounds,
+		IntraWorkers: cfg.workers, Faithful: cfg.faithful, DisableAPPP: cfg.noAPPP,
+		Timeout: 5 * time.Minute,
+	}, prob.ImageBounds(), prob.WindowN)
+	if err != nil {
+		return err
+	}
+	var r *engine.Result
+	rec.Time("reconstruct", func() {
+		r, err = plan.Run(prob, init.Slices, solver.Hooks{
+			OnIteration:   onIter,
+			SnapshotEvery: snapEvery, OnSnapshot: onSnap,
 		})
-		if err != nil {
-			return err
+	})
+	if err != nil {
+		return err
+	}
+	slices := r.Slices
+	if plan.Parallel() {
+		fmt.Printf("workers %d, exchanged %.2f MB in %d messages", plan.Ranks(),
+			float64(r.BytesSent)/1e6, r.MessagesSent)
+		if plan.Algorithm == engine.HVE {
+			fmt.Printf(" (redundant locations: %d of %d owned)",
+				sum(r.PerRankLocations)-sum(r.PerRankOwned), sum(r.PerRankOwned))
 		}
-		slices = r.Slices
-
-	case "gd":
-		rows, cols, merr := parseMesh(cfg.mesh)
-		if merr != nil {
-			return merr
-		}
-		mesh, merr2 := tiling.NewMesh(prob.ImageBounds(), rows, cols, tiling.HaloForWindow(prob.WindowN))
-		if merr2 != nil {
-			return merr2
-		}
-		mode := gradsync.ModeBatch
-		if cfg.faithful {
-			mode = gradsync.ModeFaithful
-		}
-		var r *gradsync.Result
-		rec.Time("reconstruct", func() {
-			r, err = gradsync.Reconstruct(prob, init.Slices, gradsync.Options{
-				Mesh: mesh, Mode: mode, StepSize: cfg.step, Iterations: cfg.iters,
-				RoundsPerIteration: cfg.rounds, DisableAPPP: cfg.noAPPP,
-				IntraWorkers: cfg.workers,
-				Timeout:      5 * time.Minute, OnIteration: onIter,
-				SnapshotEvery: snapEvery, OnSnapshot: onSnap,
-			})
-		})
-		if err != nil {
-			return err
-		}
-		slices = r.Slices
-		fmt.Printf("workers %d, exchanged %.2f MB in %d messages\n",
-			mesh.NumTiles(), float64(r.BytesSent)/1e6, r.MessagesSent)
+		fmt.Println()
 		printMem(r.PerRankMemBytes)
-
-	case "hve":
-		rows, cols, merr := parseMesh(cfg.mesh)
-		if merr != nil {
-			return merr
-		}
-		mesh, merr2 := tiling.NewMesh(prob.ImageBounds(), rows, cols, tiling.HaloForWindow(prob.WindowN))
-		if merr2 != nil {
-			return merr2
-		}
-		var r *halo.Result
-		rec.Time("reconstruct", func() {
-			r, err = halo.Reconstruct(prob, init.Slices, halo.Options{
-				Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: 1,
-				StepSize: cfg.step, Iterations: cfg.iters,
-				ExchangesPerIteration: cfg.rounds,
-				Timeout:               5 * time.Minute, OnIteration: onIter,
-				SnapshotEvery: snapEvery, OnSnapshot: onSnap,
-			})
-		})
-		if err != nil {
-			return err
-		}
-		slices = r.Slices
-		fmt.Printf("workers %d, exchanged %.2f MB in %d messages (redundant locations: %d of %d owned)\n",
-			mesh.NumTiles(), float64(r.BytesSent)/1e6, r.MessagesSent,
-			sum(r.PerRankLocations)-sum(r.PerRankOwned), sum(r.PerRankOwned))
-		printMem(r.PerRankMemBytes)
-
-	default:
-		return fmt.Errorf("unknown algorithm %q (want gd, hve, serial)", cfg.alg)
 	}
 
 	if cfg.savePath != "" {

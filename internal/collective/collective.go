@@ -1,11 +1,13 @@
-// Package collective holds the small collective-operation helpers the
-// parallel reconstruction engines (gradsync, halo) share: the rank-0
-// snapshot gather and the all-reduced cancellation decision. Keeping
-// them in one place keeps the subtle ordering invariants — which rank
-// sends what when, and why every rank must reach the same verdict —
-// from drifting between the two engines.
+// Package collective holds what the parallel reconstruction engines
+// (gradsync, halo) share around their own exchange passes: the
+// iteration loop and its boundary step (Drive), the rank outcome and
+// its stitch (RankOutcome, Assemble), the in-process world driver
+// (Reconstruct), the rank-0 snapshot gather and the all-reduced
+// cancellation decision. Keeping them in one place keeps the subtle
+// ordering invariants — which rank sends what when, and why every rank
+// must reach the same verdict — from drifting between the two engines.
 //
-// Both helpers are written against simmpi.Transport, so they behave
+// Everything is written against simmpi.Transport, so it behaves
 // identically whether the world is goroutines in one process or worker
 // processes on a TCP grid (internal/transport).
 package collective
@@ -17,6 +19,7 @@ import (
 
 	"ptychopath/internal/grid"
 	"ptychopath/internal/simmpi"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
 )
 
@@ -39,12 +42,11 @@ var ErrSnapshotCallback = errors.New("collective: snapshot callback failed on ra
 // gather costs one tile-sized message per non-zero rank.
 //
 // Every rank of a world must construct Snapshots with the same mesh and
-// period, and call Due/Run at the same iterations; the gather blocks
-// rank 0 until every peer has sent.
+// hooks cadence, and call Due/Run at the same iterations; the gather
+// blocks rank 0 until every peer has sent.
 type Snapshots struct {
 	mesh  *tiling.Mesh
-	every int
-	fn    func(iter int, slices []*grid.Complex2D) error
+	hooks *solver.Hooks
 
 	// cbErr carries rank 0's callback error between the gather and the
 	// verdict allreduce within one Run call (other ranks never write
@@ -53,23 +55,21 @@ type Snapshots struct {
 }
 
 // NewSnapshots returns the per-rank snapshot state, or nil (a no-op for
-// Due) when snapshots are not configured. fn runs on rank 0 only; ranks
-// that can never be rank 0 may pass a callback that is never invoked,
+// Due) when h configures no snapshots. OnSnapshot runs on rank 0 only,
 // but every rank must agree on whether snapshots are configured at all
-// (nil-ness of fn and the period) or the gather deadlocks.
-func NewSnapshots(mesh *tiling.Mesh, every int,
-	fn func(iter int, slices []*grid.Complex2D) error) *Snapshots {
-	if every <= 0 || fn == nil {
+// (nil-ness of OnSnapshot and the period) or the gather deadlocks.
+func NewSnapshots(mesh *tiling.Mesh, h *solver.Hooks) *Snapshots {
+	if h.SnapshotEvery <= 0 || h.OnSnapshot == nil {
 		return nil
 	}
-	return &Snapshots{mesh: mesh, every: every, fn: fn}
+	return &Snapshots{mesh: mesh, hooks: h}
 }
 
 // Due reports whether a snapshot is owed after the given 0-based
 // iteration. The verdict depends only on configuration and iter, so it
 // is identical on every rank — a requirement, since Run is collective.
 func (s *Snapshots) Due(iter int) bool {
-	return s != nil && (iter+1)%s.every == 0
+	return s != nil && s.hooks.SnapshotDue(iter)
 }
 
 // Run performs one snapshot gather. Every rank must call it at the same
@@ -95,7 +95,7 @@ func (s *Snapshots) Run(comm simmpi.Transport, slices []*grid.Complex2D, iter in
 			}
 			tiles[rank] = tile
 		}
-		s.cbErr = s.fn(iter, m.StitchSlices(tiles))
+		s.cbErr = s.hooks.Snapshot(iter, m.StitchSlices(tiles))
 	} else {
 		r, c := m.RowCol(comm.Rank())
 		comm.Send(0, TagSnapshot, PackRegion(slices, m.Tile(r, c)))
@@ -126,8 +126,9 @@ func (s *Snapshots) verdict(comm simmpi.Transport) error {
 }
 
 // PackRegion flattens the given region of each slice into one payload,
-// slices-major, row-major within a slice — the layout UnpackTile and
-// the engines' overlap exchanges share.
+// slices-major, row-major within a slice — the one layout the snapshot
+// gather and both engines' exchanges share, so their wire payloads can
+// never drift apart.
 func PackRegion(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
 	out := make([]complex128, 0, region.Area()*len(arrs))
 	for _, a := range arrs {
@@ -138,6 +139,53 @@ func PackRegion(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
 		}
 	}
 	return out
+}
+
+// UnpackAdd adds a PackRegion payload into the region of each array —
+// gradient decomposition's forward (accumulating) passes.
+func UnpackAdd(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
+	if err := checkPayload(arrs, region, data); err != nil {
+		return err
+	}
+	k := 0
+	for _, a := range arrs {
+		for y := region.Y0; y < region.Y1; y++ {
+			row := a.Row(y)
+			x0 := region.X0 - a.Bounds.X0
+			for x := 0; x < region.W(); x++ {
+				row[x0+x] += data[k]
+				k++
+			}
+		}
+	}
+	return nil
+}
+
+// UnpackReplace overwrites the region of each array with a PackRegion
+// payload — gradient decomposition's backward passes and halo voxel
+// exchange's paste.
+func UnpackReplace(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
+	if err := checkPayload(arrs, region, data); err != nil {
+		return err
+	}
+	k := 0
+	for _, a := range arrs {
+		for y := region.Y0; y < region.Y1; y++ {
+			row := a.Row(y)
+			x0 := region.X0 - a.Bounds.X0
+			copy(row[x0:x0+region.W()], data[k:k+region.W()])
+			k += region.W()
+		}
+	}
+	return nil
+}
+
+func checkPayload(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
+	if len(data) != region.Area()*len(arrs) {
+		return fmt.Errorf("collective: payload %d for region %v x %d slices",
+			len(data), region, len(arrs))
+	}
+	return nil
 }
 
 // UnpackTile materializes a PackRegion payload as freshly allocated

@@ -1,0 +1,227 @@
+// Package engine is the repository's single algorithm dispatch: it
+// resolves an algorithm name and its parameters against a problem's
+// geometry into a Plan. The plan is the only place the tile mesh, its
+// halo and the hve extra rows are decided, and the only place an
+// algorithm name selects an engine. Every caller — the public API,
+// ptychorecon, the job service's local, streaming and grid paths, the
+// grid worker and the runtime predictor — goes through it, so the
+// in-process and distributed runs of one job build identical engines.
+//
+// A plan runs in process (Run), one rank at a time over any transport
+// (RunRank, the grid worker's entry point), and stitches rank outcomes
+// received from elsewhere (Assemble, the grid coordinator's side).
+// Every entry point takes the shared solver.Hooks.
+package engine
+
+import (
+	"fmt"
+	"time"
+
+	"ptychopath/internal/collective"
+	"ptychopath/internal/gradsync"
+	"ptychopath/internal/grid"
+	"ptychopath/internal/halo"
+	"ptychopath/internal/simmpi"
+	"ptychopath/internal/solver"
+	"ptychopath/internal/tiling"
+)
+
+// Algorithm names.
+const (
+	// Serial is single-worker gradient descent (internal/solver) — the
+	// reference.
+	Serial = "serial"
+	// GD is the paper's Gradient Decomposition (internal/gradsync).
+	GD = "gd"
+	// HVE is the Halo Voxel Exchange baseline (internal/halo).
+	HVE = "hve"
+)
+
+// DefaultExtraRows is the hve redundant scan rows a Spec gets when it
+// leaves ExtraRows zero (the paper uses 2; one row suffices at the
+// laptop scale of this repository).
+const DefaultExtraRows = 1
+
+// Spec states an engine and its parameters as a caller has them.
+type Spec struct {
+	// Algorithm is Serial, GD or HVE.
+	Algorithm string
+	// MeshRows and MeshCols shape the tile mesh of the parallel
+	// engines (one rank per tile).
+	MeshRows, MeshCols int
+	// StepSize is the gradient-descent step; Iterations the run length.
+	StepSize   float64
+	Iterations int
+	// RoundsPerIteration is the parallel engines' communication
+	// frequency: gd passes or hve voxel exchanges per iteration.
+	RoundsPerIteration int
+	// IntraWorkers is gd's per-rank goroutine count (batch mode only).
+	IntraWorkers int
+	// Sequential switches serial to per-location (PIE-style) updates.
+	Sequential bool
+	// Faithful switches gd to the paper's literal Alg 1 updates.
+	Faithful bool
+	// DisableAPPP inserts barriers between gd's directional passes.
+	DisableAPPP bool
+	// ProbeStepSize enables serial joint object-probe refinement.
+	ProbeStepSize float64
+	// ExtraRows is hve's redundant scan rows; 0 selects
+	// DefaultExtraRows. Other engines carry but ignore it.
+	ExtraRows int
+	// Timeout bounds the parallel engines' blocking communication.
+	Timeout time.Duration
+}
+
+// Plan is a Spec resolved against one problem geometry.
+type Plan struct {
+	Spec
+	// Halo is the tile halo that lets every tile cover its own probe
+	// windows (tiling.HaloForWindow). hve exchanges over the same width.
+	Halo int
+	// Mesh is the tile mesh of a parallel engine (nil for serial).
+	Mesh *tiling.Mesh
+
+	// rank runs one rank of a parallel engine (nil for serial). It
+	// takes the plan as an argument, so a copy with a different
+	// iteration count (the streaming engine's epochs) runs as itself.
+	rank func(p *Plan, comm simmpi.Transport, prob *solver.Problem,
+		init []*grid.Complex2D, h solver.Hooks) (*collective.RankOutcome, error)
+}
+
+// New resolves s for a problem with the given image bounds and probe
+// window: it selects the engine, derives the mesh and halo, applies the
+// extra-rows default and runs the engine's own option check, so a plan
+// that New returns can run.
+func New(s Spec, image grid.Rect, windowN int) (*Plan, error) {
+	if s.ExtraRows == 0 {
+		s.ExtraRows = DefaultExtraRows
+	}
+	p := &Plan{Spec: s, Halo: tiling.HaloForWindow(windowN)}
+	var check func() error
+	switch s.Algorithm {
+	case Serial:
+		check = func() error { o := p.solverOptions(solver.Hooks{}); return o.Check() }
+	case GD:
+		p.rank = gdRank
+		check = func() error { o := p.gdOptions(solver.Hooks{}); return o.Check() }
+	case HVE:
+		p.rank = hveRank
+		check = func() error { o := p.hveOptions(solver.Hooks{}); return o.Check() }
+	default:
+		return nil, fmt.Errorf("engine: unknown algorithm %q (want %s, %s or %s)", s.Algorithm, Serial, GD, HVE)
+	}
+	if p.rank != nil {
+		mesh, err := tiling.NewMesh(image, s.MeshRows, s.MeshCols, p.Halo)
+		if err != nil {
+			return nil, err
+		}
+		p.Mesh = mesh
+	}
+	if err := check(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Parallel reports whether the plan runs a tiled multi-rank engine.
+func (p *Plan) Parallel() bool { return p.Mesh != nil }
+
+// Ranks returns the number of ranks the plan runs on (1 for serial).
+func (p *Plan) Ranks() int {
+	if p.Mesh == nil {
+		return 1
+	}
+	return p.Mesh.NumTiles()
+}
+
+// Result is an in-process run's outcome. For serial only Slices,
+// CostHistory and RefinedProbe are set.
+type Result struct {
+	collective.Result
+	// RefinedProbe is serial's jointly refined probe when ProbeStepSize
+	// was set (nil otherwise).
+	RefinedProbe *grid.Complex2D
+}
+
+// Run executes the plan in process — the serial solver, or one
+// goroutine per tile. init (full image bounds) is not mutated. On
+// cancellation through h.Ctx it returns the PARTIAL result together
+// with the context's error.
+func (p *Plan) Run(prob *solver.Problem, init []*grid.Complex2D, h solver.Hooks) (*Result, error) {
+	if p.rank == nil {
+		r, err := solver.Reconstruct(prob, init, p.solverOptions(h))
+		if r == nil {
+			return nil, err
+		}
+		return &Result{
+			Result:       collective.Result{Slices: r.Slices, CostHistory: r.CostHistory},
+			RefinedProbe: r.RefinedProbe,
+		}, err
+	}
+	r, err := collective.Reconstruct(p.Mesh, p.Timeout, h.Ctx,
+		func(comm simmpi.Transport) (*collective.RankOutcome, error) {
+			return p.rank(p, comm, prob, init, h)
+		})
+	if r == nil {
+		return nil, err
+	}
+	return &Result{Result: *r}, err
+}
+
+// RunRank executes this process's rank of a parallel plan over comm.
+// Every rank of comm's world must call it with the same plan, prob and
+// init; Assemble stitches the outcomes.
+func (p *Plan) RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D,
+	h solver.Hooks) (*collective.RankOutcome, error) {
+	if p.rank == nil {
+		return nil, fmt.Errorf("engine: %s is not a parallel algorithm", p.Algorithm)
+	}
+	return p.rank(p, comm, prob, init, h)
+}
+
+// Assemble stitches the rank outcomes of a parallel plan, in rank
+// order, into the result an in-process Run would have produced.
+func (p *Plan) Assemble(outs []*collective.RankOutcome) (*collective.Result, error) {
+	return collective.Assemble(p.Mesh, outs)
+}
+
+func gdRank(p *Plan, comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D,
+	h solver.Hooks) (*collective.RankOutcome, error) {
+	return gradsync.RunRank(comm, prob, init, p.gdOptions(h))
+}
+
+func hveRank(p *Plan, comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D,
+	h solver.Hooks) (*collective.RankOutcome, error) {
+	return halo.RunRank(comm, prob, init, p.hveOptions(h))
+}
+
+func (p *Plan) solverOptions(h solver.Hooks) solver.Options {
+	mode := solver.Batch
+	if p.Sequential {
+		mode = solver.Sequential
+	}
+	return solver.Options{
+		StepSize: p.StepSize, Iterations: p.Iterations, Mode: mode,
+		ProbeStepSize: p.ProbeStepSize, Hooks: h,
+	}
+}
+
+func (p *Plan) gdOptions(h solver.Hooks) gradsync.Options {
+	mode := gradsync.ModeBatch
+	if p.Faithful {
+		mode = gradsync.ModeFaithful
+	}
+	return gradsync.Options{
+		Mesh: p.Mesh, Mode: mode, StepSize: p.StepSize, Iterations: p.Iterations,
+		RoundsPerIteration: p.RoundsPerIteration, DisableAPPP: p.DisableAPPP,
+		IntraWorkers: p.IntraWorkers, Timeout: p.Timeout, Hooks: h,
+	}
+}
+
+func (p *Plan) hveOptions(h solver.Hooks) halo.Options {
+	return halo.Options{
+		Mesh: p.Mesh, HaloWidth: p.Halo, ExtraRows: p.ExtraRows,
+		StepSize: p.StepSize, Iterations: p.Iterations,
+		ExchangesPerIteration: p.RoundsPerIteration, Timeout: p.Timeout, Hooks: h,
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
 )
 
@@ -23,11 +24,12 @@ func TestCancellationReturnsPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	res, err := Reconstruct(prob, init, Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 50,
-		Timeout: testTimeout, Ctx: ctx,
-		OnIteration: func(iter int, cost float64) {
-			if iter+1 == cancelAfter {
-				cancel()
-			}
+		Timeout: testTimeout, Hooks: solver.Hooks{Ctx: ctx,
+			OnIteration: func(iter int, cost float64) {
+				if iter+1 == cancelAfter {
+					cancel()
+				}
+			},
 		},
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -68,14 +70,15 @@ func TestSnapshotsAreStitchedAndPeriodic(t *testing.T) {
 	var last []*grid.Complex2D
 	res, err := Reconstruct(prob, init, Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 7,
-		Timeout: testTimeout, SnapshotEvery: 2,
-		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
-			iters = append(iters, iter)
-			if !slices[0].Bounds.Eq(prob.ImageBounds()) {
-				t.Errorf("snapshot bounds %v, want full image %v", slices[0].Bounds, prob.ImageBounds())
-			}
-			last = slices
-			return nil
+		Timeout: testTimeout, Hooks: solver.Hooks{SnapshotEvery: 2,
+			OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
+				iters = append(iters, iter)
+				if !slices[0].Bounds.Eq(prob.ImageBounds()) {
+					t.Errorf("snapshot bounds %v, want full image %v", slices[0].Bounds, prob.ImageBounds())
+				}
+				last = slices
+				return nil
+			},
 		},
 	})
 	if err != nil {
@@ -111,8 +114,9 @@ func TestSnapshotErrorAbortsAllRanks(t *testing.T) {
 	boom := errors.New("disk full")
 	_, err := Reconstruct(prob, init, Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 10,
-		Timeout: testTimeout, SnapshotEvery: 2,
-		OnSnapshot: func(iter int, slices []*grid.Complex2D) error { return boom },
+		Timeout: testTimeout, Hooks: solver.Hooks{SnapshotEvery: 2,
+			OnSnapshot: func(iter int, slices []*grid.Complex2D) error { return boom },
+		},
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the snapshot error", err)

@@ -29,7 +29,6 @@
 package gradsync
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -85,40 +84,15 @@ type Options struct {
 	// the global cost falls below it. The decision uses the all-reduced
 	// cost, so every rank stops at the same iteration (no deadlock).
 	StopBelowCost float64
-	// OnIteration, when non-nil, is invoked on rank 0 with the global
-	// cost after each iteration.
-	OnIteration func(iter int, cost float64)
-	// OnRankStats, when non-nil, is invoked on EVERY rank after each
-	// iteration with that iteration's compute and communication time
-	// deltas in nanoseconds — the per-phase timing feed for span
-	// tracing and elastic scheduling. Unlike OnIteration it fires on
-	// all ranks concurrently (in-process runs share one Options), so
-	// the callback must be safe for concurrent use. It runs outside
-	// the per-location hot loop: once per rank per iteration.
-	OnRankStats func(rank, iter int, computeNS, commNS int64)
-	// IterOffset is added to the iteration index reported to
-	// OnIteration and OnSnapshot. Epoch-based callers — the streaming
-	// engine re-partitions the growing location set and re-runs
-	// Reconstruct once per epoch — use it to keep reported indices
-	// continuous across epochs. It does not change how many iterations
-	// run.
-	IterOffset int
-	// Ctx, when non-nil, cancels the run at iteration boundaries. The
-	// decision is collective — every rank contributes its view of
-	// Ctx.Err() to an allreduce so all ranks stop at the same iteration
-	// (no deadlocked exchanges). Reconstruct then returns the PARTIAL
-	// stitched Result together with Ctx's error.
-	Ctx context.Context
-	// SnapshotEvery, together with OnSnapshot, emits periodic object
-	// snapshots: after every SnapshotEvery-th iteration the tiles are
-	// stitched and OnSnapshot runs on rank 0 with the 0-based iteration
-	// index and the stitched slices (freshly allocated — safe to
-	// retain). A non-nil error aborts the run on every rank.
-	SnapshotEvery int
-	OnSnapshot    func(iter int, slices []*grid.Complex2D) error
+	// Hooks carries the shared callbacks. OnIteration and OnSnapshot
+	// run on rank 0 (snapshots are stitched first, freshly allocated —
+	// safe to retain); OnRankStats runs on every rank; cancellation is
+	// collective, so every rank stops at the same iteration.
+	solver.Hooks
 }
 
-func (o *Options) validate(prob *solver.Problem) error {
+// Check validates the options independently of a problem.
+func (o *Options) Check() error {
 	if o.Mesh == nil {
 		return fmt.Errorf("gradsync: nil mesh")
 	}
@@ -134,6 +108,13 @@ func (o *Options) validate(prob *solver.Problem) error {
 	if o.IntraWorkers > 1 && o.Mode == ModeFaithful {
 		return fmt.Errorf("gradsync: IntraWorkers requires ModeBatch (faithful Alg 1 updates are order-dependent)")
 	}
+	return nil
+}
+
+func (o *Options) validate(prob *solver.Problem) error {
+	if err := o.Check(); err != nil {
+		return err
+	}
 	if err := prob.Validate(); err != nil {
 		return err
 	}
@@ -145,28 +126,7 @@ func (o *Options) validate(prob *solver.Problem) error {
 }
 
 // Result carries the stitched reconstruction and run statistics.
-type Result struct {
-	// Slices is the stitched reconstruction (halos abandoned, interiors
-	// concatenated — Alg 1 line 20).
-	Slices []*grid.Complex2D
-	// CostHistory holds the global cost F(V) per iteration.
-	CostHistory []float64
-	// BytesSent and MessagesSent aggregate all gradient exchanges.
-	BytesSent    int64
-	MessagesSent int64
-	// PerRankLocations[rank] is the number of probe locations owned.
-	PerRankLocations []int
-	// PerRankMemBytes estimates each rank's resident footprint:
-	// extended-tile object + gradient buffer + scratch + owned
-	// measurements + model workspaces.
-	PerRankMemBytes []int64
-	// PerRankComputeNS / PerRankCommNS are measured wall-clock
-	// nanoseconds each rank spent in gradient computation and in the
-	// directional passes (the functional counterpart of Fig 7b's
-	// compute and wait+comm bars).
-	PerRankComputeNS []int64
-	PerRankCommNS    []int64
-}
+type Result = collective.Result
 
 // message tags for the four directional passes.
 const (
@@ -248,50 +208,6 @@ func (w *worker) memBytes() int64 {
 	return total
 }
 
-// pack flattens region r of each slice buffer into one payload (the
-// shared slices-major layout of collective.PackRegion).
-func pack(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
-	return collective.PackRegion(arrs, region)
-}
-
-// unpackAdd adds the payload into region r of each buffer.
-func unpackAdd(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
-	if len(data) != region.Area()*len(arrs) {
-		return fmt.Errorf("gradsync: payload %d for region %v x %d slices",
-			len(data), region, len(arrs))
-	}
-	k := 0
-	for _, a := range arrs {
-		for y := region.Y0; y < region.Y1; y++ {
-			row := a.Row(y)
-			x0 := region.X0 - a.Bounds.X0
-			for x := 0; x < region.W(); x++ {
-				row[x0+x] += data[k]
-				k++
-			}
-		}
-	}
-	return nil
-}
-
-// unpackReplace overwrites region r of each buffer with the payload.
-func unpackReplace(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
-	if len(data) != region.Area()*len(arrs) {
-		return fmt.Errorf("gradsync: payload %d for region %v x %d slices",
-			len(data), region, len(arrs))
-	}
-	k := 0
-	for _, a := range arrs {
-		for y := region.Y0; y < region.Y1; y++ {
-			row := a.Row(y)
-			x0 := region.X0 - a.Bounds.X0
-			copy(row[x0:x0+region.W()], data[k:k+region.W()])
-			k += region.W()
-		}
-	}
-	return nil
-}
-
 // runPasses executes the four directional passes on the accumulation
 // buffers (Sec. IV + Fig 5). After it returns, w.acc holds the global
 // gradient restricted to the extended tile.
@@ -312,7 +228,7 @@ func (w *worker) runPasses() error {
 			if err != nil {
 				return err
 			}
-			if err := unpackAdd(w.acc, region, data); err != nil {
+			if err := collective.UnpackAdd(w.acc, region, data); err != nil {
 				return err
 			}
 		}
@@ -320,7 +236,7 @@ func (w *worker) runPasses() error {
 	if w.r < m.Rows-1 {
 		region := m.VerticalOverlap(w.r, w.c)
 		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r+1, w.c), tagVF, pack(w.acc, region))
+			w.comm.Isend(m.Rank(w.r+1, w.c), tagVF, collective.PackRegion(w.acc, region))
 		}
 	}
 	if err := barrier(); err != nil {
@@ -335,7 +251,7 @@ func (w *worker) runPasses() error {
 			if err != nil {
 				return err
 			}
-			if err := unpackReplace(w.acc, region, data); err != nil {
+			if err := collective.UnpackReplace(w.acc, region, data); err != nil {
 				return err
 			}
 		}
@@ -343,7 +259,7 @@ func (w *worker) runPasses() error {
 	if w.r > 0 {
 		region := m.VerticalOverlap(w.r-1, w.c)
 		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r-1, w.c), tagVB, pack(w.acc, region))
+			w.comm.Isend(m.Rank(w.r-1, w.c), tagVB, collective.PackRegion(w.acc, region))
 		}
 	}
 	if err := barrier(); err != nil {
@@ -360,7 +276,7 @@ func (w *worker) runPasses() error {
 			if err != nil {
 				return err
 			}
-			if err := unpackAdd(w.acc, region, data); err != nil {
+			if err := collective.UnpackAdd(w.acc, region, data); err != nil {
 				return err
 			}
 		}
@@ -368,7 +284,7 @@ func (w *worker) runPasses() error {
 	if w.c < m.Cols-1 {
 		region := m.HorizontalOverlap(w.r, w.c)
 		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r, w.c+1), tagHF, pack(w.acc, region))
+			w.comm.Isend(m.Rank(w.r, w.c+1), tagHF, collective.PackRegion(w.acc, region))
 		}
 	}
 	if err := barrier(); err != nil {
@@ -383,7 +299,7 @@ func (w *worker) runPasses() error {
 			if err != nil {
 				return err
 			}
-			if err := unpackReplace(w.acc, region, data); err != nil {
+			if err := collective.UnpackReplace(w.acc, region, data); err != nil {
 				return err
 			}
 		}
@@ -391,7 +307,7 @@ func (w *worker) runPasses() error {
 	if w.c > 0 {
 		region := m.HorizontalOverlap(w.r, w.c-1)
 		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r, w.c-1), tagHB, pack(w.acc, region))
+			w.comm.Isend(m.Rank(w.r, w.c-1), tagHB, collective.PackRegion(w.acc, region))
 		}
 	}
 	return barrier()
@@ -407,9 +323,15 @@ func (w *worker) applyAcc() {
 	}
 }
 
-// iteration runs one full cycle through the rank's locations with the
+// Slices returns the rank's live extended-tile object.
+func (w *worker) Slices() []*grid.Complex2D { return w.slices }
+
+// Times returns the cumulative compute and communication nanoseconds.
+func (w *worker) Times() (computeNS, commNS int64) { return w.computeNS, w.commNS }
+
+// Iterate runs one full cycle through the rank's locations with the
 // configured number of communication rounds, returning the local cost.
-func (w *worker) iteration() (float64, error) {
+func (w *worker) Iterate() (float64, error) {
 	rounds := w.opt.RoundsPerIteration
 	if rounds <= 0 {
 		rounds = 1
@@ -546,33 +468,6 @@ func (w *worker) gradientChunkParallel(lo, hi int) float64 {
 	return cost
 }
 
-// RankOutcome is one rank's view of a finished (or cancelled) run: the
-// final extended-tile object, this rank's statistics, and whether the
-// run stopped at a collective cancellation. It is everything a remote
-// worker must ship back to a coordinator for stitching — the
-// distributed grid (internal/transport, internal/gridworker) serializes
-// exactly this.
-type RankOutcome struct {
-	// Slices is the rank's reconstruction on its extended-tile bounds.
-	Slices []*grid.Complex2D
-	// CostHistory holds the all-reduced global cost per iteration
-	// (identical on every rank).
-	CostHistory []float64
-	// Locations is the number of probe locations this rank owned.
-	Locations int
-	// MemBytes estimates the rank's resident footprint.
-	MemBytes int64
-	// ComputeNS and CommNS are wall-clock nanoseconds spent in gradient
-	// computation and in the directional passes.
-	ComputeNS, CommNS int64
-	// SentBytes and SentMessages count this rank's outgoing payload
-	// traffic.
-	SentBytes, SentMessages int64
-	// Cancelled reports that the run stopped early at a collective
-	// Ctx-cancellation decision; Slices then holds the partial state.
-	Cancelled bool
-}
-
 // RunRank executes one rank of the Gradient Decomposition
 // reconstruction against an arbitrary transport endpoint. Every rank of
 // comm's world must call RunRank with identical prob, init and opt —
@@ -583,7 +478,7 @@ type RankOutcome struct {
 // init provides the initial object slices on the full image bounds; it
 // is not mutated. The returned outcome's Slices live on this rank's
 // extended tile.
-func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*RankOutcome, error) {
+func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*collective.RankOutcome, error) {
 	if err := opt.validate(prob); err != nil {
 		return nil, err
 	}
@@ -597,68 +492,16 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	// rank computes the identical partition locally — no distribution
 	// step, no coordinator round-trip.
 	owned := opt.Mesh.AssignLocations(prob.Pattern)
-
-	snapFn := opt.OnSnapshot
-	if snapFn != nil && opt.IterOffset != 0 {
-		inner := opt.OnSnapshot
-		snapFn = func(iter int, slices []*grid.Complex2D) error {
-			return inner(opt.IterOffset+iter, slices)
-		}
-	}
-	snaps := collective.NewSnapshots(opt.Mesh, opt.SnapshotEvery, snapFn)
-
 	w := newWorker(comm, prob, &opt, owned, init)
 	defer w.close()
-	out := &RankOutcome{
+	out := &collective.RankOutcome{
 		Locations: len(w.owned),
+		Owned:     len(w.owned),
 		MemBytes:  w.memBytes(),
 	}
-	hist := make([]float64, 0, opt.Iterations)
-	var prevComputeNS, prevCommNS int64
-	for iter := 0; iter < opt.Iterations; iter++ {
-		local, err := w.iteration()
-		if err != nil {
-			return nil, fmt.Errorf("rank %d iteration %d: %w", comm.Rank(), iter, err)
-		}
-		global, err := comm.AllreduceSum(local)
-		if err != nil {
-			return nil, err
-		}
-		hist = append(hist, global)
-		if opt.OnRankStats != nil {
-			// w.computeNS/commNS are cumulative; report this
-			// iteration's delta so the callback sees per-phase time
-			// per iteration, not a running total.
-			opt.OnRankStats(comm.Rank(), opt.IterOffset+iter,
-				w.computeNS-prevComputeNS, w.commNS-prevCommNS)
-			prevComputeNS, prevCommNS = w.computeNS, w.commNS
-		}
-		if comm.Rank() == 0 && opt.OnIteration != nil {
-			opt.OnIteration(opt.IterOffset+iter, global)
-		}
-		if snaps.Due(iter) {
-			if err := snaps.Run(comm, w.slices, iter); err != nil {
-				return nil, fmt.Errorf("gradsync: snapshot at iteration %d: %w", iter, err)
-			}
-		}
-		// Collective early stop: the all-reduced cost is identical
-		// on every rank, so all ranks break together.
-		if opt.StopBelowCost > 0 && global < opt.StopBelowCost {
-			break
-		}
-		if stop, err := collective.Cancelled(comm, opt.Ctx); err != nil {
-			return nil, err
-		} else if stop {
-			out.Cancelled = true
-			break
-		}
+	if err := collective.Drive(comm, opt.Mesh, w, opt.Iterations, opt.StopBelowCost, &opt.Hooks, out); err != nil {
+		return nil, err
 	}
-	out.Slices = w.slices
-	out.CostHistory = hist
-	out.ComputeNS = w.computeNS
-	out.CommNS = w.commNS
-	out.SentBytes = comm.SentBytes()
-	out.SentMessages = comm.SentMessages()
 	return out, nil
 }
 
@@ -673,73 +516,10 @@ func Reconstruct(prob *solver.Problem, init []*grid.Complex2D, opt Options) (*Re
 	if len(init) != prob.Slices {
 		return nil, fmt.Errorf("gradsync: %d initial slices, want %d", len(init), prob.Slices)
 	}
-	m := opt.Mesh
-	ranks := m.NumTiles()
-	outs := make([]*RankOutcome, ranks)
-
-	world := simmpi.NewWorld(ranks, opt.Timeout)
-	err := world.RunAll(func(comm *simmpi.Comm) error {
-		out, err := RunRank(comm, prob, init, opt)
-		if err != nil {
-			return err
-		}
-		outs[comm.Rank()] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := assembleResult(m, outs)
-	res.BytesSent = world.BytesSent()
-	res.MessagesSent = world.MessagesSent()
-	if outs[0].Cancelled {
-		return res, opt.Ctx.Err()
-	}
-	return res, nil
-}
-
-// assembleResult stitches per-rank outcomes into the aggregate Result —
-// shared by the in-process driver above and the grid coordinator
-// (internal/jobs), which receives the outcomes over TCP instead.
-func assembleResult(m *tiling.Mesh, outs []*RankOutcome) *Result {
-	ranks := len(outs)
-	tiles := make([][]*grid.Complex2D, ranks)
-	res := &Result{
-		CostHistory:      outs[0].CostHistory,
-		PerRankLocations: make([]int, ranks),
-		PerRankMemBytes:  make([]int64, ranks),
-		PerRankComputeNS: make([]int64, ranks),
-		PerRankCommNS:    make([]int64, ranks),
-	}
-	for rank, out := range outs {
-		tiles[rank] = out.Slices
-		res.PerRankLocations[rank] = out.Locations
-		res.PerRankMemBytes[rank] = out.MemBytes
-		res.PerRankComputeNS[rank] = out.ComputeNS
-		res.PerRankCommNS[rank] = out.CommNS
-	}
-	res.Slices = m.StitchSlices(tiles)
-	return res
-}
-
-// AssembleResult is the exported form of the outcome stitch for
-// drivers outside this package (the grid coordinator). outs must have
-// exactly mesh.NumTiles() entries in rank order, every entry non-nil.
-func AssembleResult(m *tiling.Mesh, outs []*RankOutcome) (*Result, error) {
-	if len(outs) != m.NumTiles() {
-		return nil, fmt.Errorf("gradsync: %d outcomes for %d tiles", len(outs), m.NumTiles())
-	}
-	for i, o := range outs {
-		if o == nil || len(o.Slices) == 0 {
-			return nil, fmt.Errorf("gradsync: missing outcome for rank %d", i)
-		}
-	}
-	res := assembleResult(m, outs)
-	for _, o := range outs {
-		res.BytesSent += o.SentBytes
-		res.MessagesSent += o.SentMessages
-	}
-	return res, nil
+	return collective.Reconstruct(opt.Mesh, opt.Timeout, opt.Ctx,
+		func(comm simmpi.Transport) (*collective.RankOutcome, error) {
+			return RunRank(comm, prob, init, opt)
+		})
 }
 
 // ParallelGradient computes the total image gradient of Eqn. (2) via the

@@ -361,7 +361,7 @@ func TestOnIterationCallback(t *testing.T) {
 	var iters []int
 	_, err := Reconstruct(prob, init.Slices, Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 3, Timeout: testTimeout,
-		OnIteration: func(it int, cost float64) { iters = append(iters, it) },
+		Hooks: solver.Hooks{OnIteration: func(it int, cost float64) { iters = append(iters, it) }},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
 )
 
@@ -22,12 +23,13 @@ func TestIterOffsetShiftsReportedIndices(t *testing.T) {
 	var iters, snaps []int
 	res, err := Reconstruct(prob, init.Slices, Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 4,
-		Timeout: testTimeout, IterOffset: offset,
-		OnIteration:   func(iter int, _ float64) { iters = append(iters, iter) },
-		SnapshotEvery: 2,
-		OnSnapshot: func(iter int, _ []*grid.Complex2D) error {
-			snaps = append(snaps, iter)
-			return nil
+		Timeout: testTimeout, Hooks: solver.Hooks{IterOffset: offset,
+			OnIteration:   func(iter int, _ float64) { iters = append(iters, iter) },
+			SnapshotEvery: 2,
+			OnSnapshot: func(iter int, _ []*grid.Complex2D) error {
+				snaps = append(snaps, iter)
+				return nil
+			},
 		},
 	})
 	if err != nil {

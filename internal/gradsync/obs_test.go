@@ -8,6 +8,7 @@ import (
 	"ptychopath/internal/obs"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/simmpi"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
 )
 
@@ -25,7 +26,7 @@ func TestOnRankStatsEveryRank(t *testing.T) {
 	sums := map[int][2]int64{} // rank -> summed compute/comm deltas
 	res, err := Reconstruct(prob, init.Slices, Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: iters, Timeout: testTimeout,
-		OnRankStats: func(rank, iter int, computeNS, commNS int64) {
+		Hooks: solver.Hooks{OnRankStats: func(rank, iter int, computeNS, commNS int64) {
 			mu.Lock()
 			calls[rank] = append(calls[rank], iter)
 			s := sums[rank]
@@ -34,7 +35,7 @@ func TestOnRankStatsEveryRank(t *testing.T) {
 			if computeNS < 0 || commNS < 0 {
 				t.Errorf("rank %d iter %d: negative delta (%d, %d)", rank, iter, computeNS, commNS)
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +73,9 @@ func TestWorkerGradientAllocationFreeTraced(t *testing.T) {
 	tr := obs.NewTrace("alloc-guard")
 	opt := Options{
 		Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 1,
-		OnRankStats: func(rank, iter int, computeNS, commNS int64) {
+		Hooks: solver.Hooks{OnRankStats: func(rank, iter int, computeNS, commNS int64) {
 			tr.Record("compute", 0, rank, iter, time.Now(), time.Duration(computeNS))
-		},
+		}},
 	}
 	if err := opt.validate(prob); err != nil {
 		t.Fatal(err)

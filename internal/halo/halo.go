@@ -20,7 +20,6 @@
 package halo
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -55,24 +54,27 @@ type Options struct {
 	ExchangesPerIteration int
 	// Timeout bounds blocking communication.
 	Timeout time.Duration
-	// OnIteration, when non-nil, receives the global cost per iteration
-	// (measured over owned locations only, like the GD solver).
-	OnIteration func(iter int, cost float64)
-	// Ctx, when non-nil, cancels the run at iteration boundaries. The
-	// decision is collective (all-reduced) so every rank stops at the
-	// same iteration; Reconstruct then returns the PARTIAL stitched
-	// Result together with Ctx's error.
-	Ctx context.Context
-	// SnapshotEvery, together with OnSnapshot, emits periodic object
-	// snapshots: after every SnapshotEvery-th iteration the tiles are
-	// stitched and OnSnapshot runs on rank 0 with the 0-based iteration
-	// index and the stitched slices (freshly allocated — safe to
-	// retain). A non-nil error aborts the run on every rank.
-	SnapshotEvery int
-	OnSnapshot    func(iter int, slices []*grid.Complex2D) error
+	// Hooks carries the shared callbacks. OnIteration (the global
+	// cost, measured over owned locations only, like the GD solver) and
+	// OnSnapshot (stitched, freshly allocated — safe to retain) run on
+	// rank 0; OnRankStats runs on every rank with the time spent in
+	// local updates and in voxel exchanges; cancellation is
+	// collective, so every rank stops at the same iteration.
+	solver.Hooks
 }
 
-func (o *Options) validate(prob *solver.Problem) error {
+// haloWidth returns the effective exchange halo (0 selects the mesh
+// halo).
+func (o *Options) haloWidth() int {
+	if o.HaloWidth == 0 {
+		return o.Mesh.Halo
+	}
+	return o.HaloWidth
+}
+
+// Check validates the options independently of a problem, including
+// the method's tile-size constraint (ErrTileTooSmall).
+func (o *Options) Check() error {
 	if o.Mesh == nil {
 		return fmt.Errorf("halo: nil mesh")
 	}
@@ -90,6 +92,13 @@ func (o *Options) validate(prob *solver.Problem) error {
 	}
 	if o.ExchangesPerIteration < 0 {
 		return fmt.Errorf("halo: negative exchanges per iteration")
+	}
+	return CheckTileConstraint(o.Mesh, o.haloWidth())
+}
+
+func (o *Options) validate(prob *solver.Problem) error {
+	if err := o.Check(); err != nil {
+		return err
 	}
 	if err := prob.Validate(); err != nil {
 		return err
@@ -116,21 +125,10 @@ func CheckTileConstraint(m *tiling.Mesh, haloWidth int) error {
 }
 
 // Result carries the stitched reconstruction and run statistics.
-type Result struct {
-	Slices      []*grid.Complex2D
-	CostHistory []float64
-	// BytesSent / MessagesSent aggregate the voxel paste traffic.
-	BytesSent    int64
-	MessagesSent int64
-	// PerRankLocations counts owned + extra locations per rank — the
-	// redundant-computation overhead versus Gradient Decomposition.
-	PerRankLocations []int
-	// PerRankOwned counts only the owned locations.
-	PerRankOwned []int
-	// PerRankMemBytes estimates the per-rank footprint including the
-	// extra measurements and the widened halo.
-	PerRankMemBytes []int64
-}
+// PerRankLocations counts owned + extra locations per rank — the
+// redundant-computation overhead versus Gradient Decomposition;
+// PerRankOwned counts only the owned ones.
+type Result = collective.Result
 
 const tagPaste = 10
 
@@ -148,40 +146,67 @@ type hworker struct {
 	mesh   *tiling.Mesh
 	prob   *solver.Problem
 	opt    *Options
+	haloW  int
 	r, c   int
 	ext    grid.Rect // tile + exchange halo
 	slices []*grid.Complex2D
 	ws     *solver.Workspace // per-rank gradient scratch arena
 	owned  []int             // own locations
 	all    []int             // own + extra locations (reconstructed redundantly)
+
+	computeNS int64 // wall-clock spent in local gradient updates
+	commNS    int64 // wall-clock spent in voxel exchanges
 }
 
-// RankOutcome is one rank's view of a finished (or cancelled) Halo
-// Voxel Exchange run — the per-process counterpart of gradsync's
-// RankOutcome, shipped back to the grid coordinator for stitching.
-type RankOutcome struct {
-	// Slices is the rank's reconstruction on its widened extended-tile
-	// bounds.
-	Slices []*grid.Complex2D
-	// CostHistory holds the all-reduced global cost per iteration.
-	CostHistory []float64
-	// Locations counts owned + extra (redundant) locations; Owned only
-	// the owned ones.
-	Locations, Owned int
-	// MemBytes estimates the rank's resident footprint.
-	MemBytes int64
-	// SentBytes and SentMessages count this rank's outgoing paste
-	// traffic.
-	SentBytes, SentMessages int64
-	// Cancelled reports a collective Ctx-cancellation stop.
-	Cancelled bool
+// Slices returns the rank's live extended-tile object.
+func (w *hworker) Slices() []*grid.Complex2D { return w.slices }
+
+// Times returns the cumulative compute and exchange nanoseconds.
+func (w *hworker) Times() (computeNS, commNS int64) { return w.computeNS, w.commNS }
+
+// Iterate runs one full cycle of local updates over the owned and
+// extra locations with the configured number of voxel exchanges,
+// returning the cost over owned locations only (so the histories are
+// comparable with Gradient Decomposition).
+func (w *hworker) Iterate() (float64, error) {
+	exchanges := w.opt.ExchangesPerIteration
+	if exchanges <= 0 {
+		exchanges = 1
+	}
+	step := complex(w.opt.StepSize, 0)
+	var cost float64
+	nloc := len(w.all)
+	done := 0
+	for ex := 0; ex < exchanges; ex++ {
+		computeStart := time.Now()
+		upto := (ex + 1) * nloc / exchanges
+		for ; done < upto; done++ {
+			li := w.all[done]
+			loc := w.prob.Pattern.Locations[li]
+			w.ws.ZeroGrads()
+			f := w.ws.LossGrad(w.slices, loc.Window(w.prob.WindowN), w.prob.Meas[li])
+			if done < len(w.owned) {
+				cost += f
+			}
+			for s := range w.slices {
+				w.slices[s].AddScaled(w.ws.Grads()[s], -step)
+			}
+		}
+		w.computeNS += time.Since(computeStart).Nanoseconds()
+		commStart := time.Now()
+		if err := w.exchangeVoxels(); err != nil {
+			return 0, err
+		}
+		w.commNS += time.Since(commStart).Nanoseconds()
+	}
+	return cost, nil
 }
 
 // RunRank executes one rank of the Halo Voxel Exchange baseline against
 // an arbitrary transport endpoint. Every rank of comm's world must call
 // RunRank with identical prob, init and opt; Reconstruct does so over
 // an in-process world, the distributed grid over TCP.
-func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*RankOutcome, error) {
+func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*collective.RankOutcome, error) {
 	if err := opt.validate(prob); err != nil {
 		return nil, err
 	}
@@ -192,29 +217,16 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	if comm.Size() != m.NumTiles() {
 		return nil, fmt.Errorf("halo: world size %d != mesh tiles %d", comm.Size(), m.NumTiles())
 	}
-	haloW := opt.HaloWidth
-	if haloW == 0 {
-		haloW = m.Halo
-	}
-	if err := CheckTileConstraint(m, haloW); err != nil {
-		return nil, err
-	}
+	haloW := opt.haloWidth()
 	// Deterministic from pattern + mesh: every rank computes the same
 	// partition locally.
 	owned := m.AssignLocations(prob.Pattern)
-	snaps := collective.NewSnapshots(m, opt.SnapshotEvery, opt.OnSnapshot)
-
-	exchanges := opt.ExchangesPerIteration
-	if exchanges <= 0 {
-		exchanges = 1
-	}
-
 	rank := comm.Rank()
 	r, c := m.RowCol(rank)
 	extra := m.ExtraRowLocations(prob.Pattern, owned, r, c, opt.ExtraRows)
 	ext := m.ExtendedWithHalo(r, c, haloW)
 	w := &hworker{
-		comm: comm, mesh: m, prob: prob, opt: &opt,
+		comm: comm, mesh: m, prob: prob, opt: &opt, haloW: haloW,
 		r: r, c: c, ext: ext,
 		owned: owned[rank],
 		all:   append(append([]int{}, owned[rank]...), extra...),
@@ -225,67 +237,19 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 		w.slices[s].CopyRegion(init[s], ext)
 	}
 	// One Workspace per rank for the whole run; the per-location
-	// loop below never touches the heap after warm-up.
+	// loop never touches the heap after warm-up.
 	w.ws = prob.NewWorkspace(ext)
 
 	n2 := int64(prob.WindowN * prob.WindowN)
-	out := &RankOutcome{
+	out := &collective.RankOutcome{
 		Locations: len(w.all),
 		Owned:     len(w.owned),
 		MemBytes: int64(ext.Area())*16*int64(prob.Slices)*2 +
 			int64(len(w.all))*n2*8 + n2*16*int64(prob.Slices+4),
 	}
-
-	hist := make([]float64, 0, opt.Iterations)
-	step := complex(opt.StepSize, 0)
-	for iter := 0; iter < opt.Iterations; iter++ {
-		var cost float64
-		nloc := len(w.all)
-		done := 0
-		for ex := 0; ex < exchanges; ex++ {
-			upto := (ex + 1) * nloc / exchanges
-			for ; done < upto; done++ {
-				li := w.all[done]
-				loc := prob.Pattern.Locations[li]
-				w.ws.ZeroGrads()
-				f := w.ws.LossGrad(w.slices, loc.Window(prob.WindowN), prob.Meas[li])
-				// Cost is reported over owned locations only, so the
-				// histories are comparable with Gradient Decomposition.
-				if done < len(w.owned) {
-					cost += f
-				}
-				for s := range w.slices {
-					w.slices[s].AddScaled(w.ws.Grads()[s], -step)
-				}
-			}
-			if err := w.exchangeVoxels(haloW); err != nil {
-				return nil, fmt.Errorf("rank %d: %w", rank, err)
-			}
-		}
-		global, err := comm.AllreduceSum(cost)
-		if err != nil {
-			return nil, err
-		}
-		hist = append(hist, global)
-		if rank == 0 && opt.OnIteration != nil {
-			opt.OnIteration(iter, global)
-		}
-		if snaps.Due(iter) {
-			if err := snaps.Run(comm, w.slices, iter); err != nil {
-				return nil, fmt.Errorf("halo: snapshot at iteration %d: %w", iter, err)
-			}
-		}
-		if stop, err := collective.Cancelled(comm, opt.Ctx); err != nil {
-			return nil, err
-		} else if stop {
-			out.Cancelled = true
-			break
-		}
+	if err := collective.Drive(comm, m, w, opt.Iterations, 0, &opt.Hooks, out); err != nil {
+		return nil, err
 	}
-	out.Slices = w.slices
-	out.CostHistory = hist
-	out.SentBytes = comm.SentBytes()
-	out.SentMessages = comm.SentMessages()
 	return out, nil
 }
 
@@ -298,82 +262,17 @@ func Reconstruct(prob *solver.Problem, init []*grid.Complex2D, opt Options) (*Re
 	if len(init) != prob.Slices {
 		return nil, fmt.Errorf("halo: %d initial slices, want %d", len(init), prob.Slices)
 	}
-	m := opt.Mesh
-	haloW := opt.HaloWidth
-	if haloW == 0 {
-		haloW = m.Halo
-	}
-	if err := CheckTileConstraint(m, haloW); err != nil {
-		return nil, err
-	}
-	ranks := m.NumTiles()
-	outs := make([]*RankOutcome, ranks)
-	world := simmpi.NewWorld(ranks, opt.Timeout)
-	err := world.RunAll(func(comm *simmpi.Comm) error {
-		out, err := RunRank(comm, prob, init, opt)
-		if err != nil {
-			return err
-		}
-		outs[comm.Rank()] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := assembleResult(m, outs)
-	res.BytesSent = world.BytesSent()
-	res.MessagesSent = world.MessagesSent()
-	if outs[0].Cancelled {
-		return res, opt.Ctx.Err()
-	}
-	return res, nil
-}
-
-// assembleResult stitches per-rank outcomes into the aggregate Result.
-func assembleResult(m *tiling.Mesh, outs []*RankOutcome) *Result {
-	ranks := len(outs)
-	tiles := make([][]*grid.Complex2D, ranks)
-	res := &Result{
-		CostHistory:      outs[0].CostHistory,
-		PerRankLocations: make([]int, ranks),
-		PerRankOwned:     make([]int, ranks),
-		PerRankMemBytes:  make([]int64, ranks),
-	}
-	for rank, out := range outs {
-		tiles[rank] = out.Slices
-		res.PerRankLocations[rank] = out.Locations
-		res.PerRankOwned[rank] = out.Owned
-		res.PerRankMemBytes[rank] = out.MemBytes
-	}
-	res.Slices = m.StitchSlices(tiles)
-	return res
-}
-
-// AssembleResult is the exported outcome stitch for drivers outside
-// this package (the grid coordinator). outs must have exactly
-// mesh.NumTiles() entries in rank order, every entry non-nil.
-func AssembleResult(m *tiling.Mesh, outs []*RankOutcome) (*Result, error) {
-	if len(outs) != m.NumTiles() {
-		return nil, fmt.Errorf("halo: %d outcomes for %d tiles", len(outs), m.NumTiles())
-	}
-	for i, o := range outs {
-		if o == nil || len(o.Slices) == 0 {
-			return nil, fmt.Errorf("halo: missing outcome for rank %d", i)
-		}
-	}
-	res := assembleResult(m, outs)
-	for _, o := range outs {
-		res.BytesSent += o.SentBytes
-		res.MessagesSent += o.SentMessages
-	}
-	return res, nil
+	return collective.Reconstruct(opt.Mesh, opt.Timeout, opt.Ctx,
+		func(comm simmpi.Transport) (*collective.RankOutcome, error) {
+			return RunRank(comm, prob, init, opt)
+		})
 }
 
 // exchangeVoxels performs the synchronous copy-paste: this tile's
 // interior voxels that fall inside each neighbor's halo are sent and
 // pasted verbatim into the neighbor's slices (overwriting — the seam
 // mechanism), and vice versa.
-func (w *hworker) exchangeVoxels(haloW int) error {
+func (w *hworker) exchangeVoxels() error {
 	m := w.mesh
 	type pending struct {
 		req    simmpi.Pending
@@ -402,12 +301,12 @@ func (w *hworker) exchangeVoxels(haloW int) error {
 		if nr < 0 || nr >= m.Rows || nc < 0 || nc >= m.Cols {
 			continue
 		}
-		nbExt := m.ExtendedWithHalo(nr, nc, haloW)
+		nbExt := m.ExtendedWithHalo(nr, nc, w.haloW)
 		region := m.Tile(w.r, w.c).Intersect(nbExt)
 		if region.Empty() {
 			continue
 		}
-		w.comm.Isend(m.Rank(nr, nc), tagPaste, packRegion(w.slices, region))
+		w.comm.Isend(m.Rank(nr, nc), tagPaste, collective.PackRegion(w.slices, region))
 	}
 	// Receives from different neighbors arrive in arbitrary order; tags
 	// are identical, but each neighbor sends exactly one message per
@@ -418,32 +317,8 @@ func (w *hworker) exchangeVoxels(haloW int) error {
 		if err != nil {
 			return err
 		}
-		if err := unpackRegion(w.slices, p.region, data); err != nil {
+		if err := collective.UnpackReplace(w.slices, p.region, data); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// packRegion flattens the region of each slice into one payload (the
-// shared slices-major layout of collective.PackRegion — one definition
-// so the engines' wire payloads can never drift apart).
-func packRegion(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
-	return collective.PackRegion(arrs, region)
-}
-
-func unpackRegion(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
-	if len(data) != region.Area()*len(arrs) {
-		return fmt.Errorf("halo: payload %d for region %v x %d slices",
-			len(data), region, len(arrs))
-	}
-	k := 0
-	for _, a := range arrs {
-		for y := region.Y0; y < region.Y1; y++ {
-			row := a.Row(y)
-			x0 := region.X0 - a.Bounds.X0
-			copy(row[x0:x0+region.W()], data[k:k+region.W()])
-			k += region.W()
 		}
 	}
 	return nil

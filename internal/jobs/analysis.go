@@ -26,11 +26,11 @@ import (
 	"time"
 
 	"ptychopath/internal/cluster"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/obs"
 	"ptychopath/internal/obs/flight"
 	"ptychopath/internal/perfmodel"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/tiling"
 )
 
 // Prediction is the perfmodel-derived runtime estimate published on the
@@ -145,11 +145,12 @@ func (s *Service) predict(prob *solver.Problem, p Params) (*Prediction, float64,
 		cal.IterOverheadSec = 0
 		source = "calibrated"
 	}
-	ranks := 1
-	if p.Algorithm != "serial" {
-		ranks = p.MeshRows * p.MeshCols
+	plan, err := p.plan(b, prob.WindowN, 0)
+	if err != nil {
+		return nil, 0, 0
 	}
-	halo := float64(tiling.HaloForWindow(prob.WindowN))
+	ranks := plan.Ranks()
+	halo := float64(plan.Halo)
 	cfg := perfmodel.Config{
 		Machine:       cluster.Summit(),
 		Cal:           cal,
@@ -158,18 +159,15 @@ func (s *Service) predict(prob *solver.Problem, p Params) (*Prediction, float64,
 		SimIterations: 2,
 		HaloGDPM:      halo,
 		HaloHVEPM:     halo,
-		HVEExtraRows:  1, // matches execute()'s halo.Options.ExtraRows
+		HVEExtraRows:  plan.ExtraRows,
 	}
-	var row perfmodel.Row
-	switch p.Algorithm {
-	case "hve":
+	row := perfmodel.Row{NA: true}
+	if plan.Algorithm == engine.HVE {
 		row = cfg.HVERow(ranks)
-		if row.NA {
-			// Tiles too small for the HVE constraint at this scale; the
-			// GD schedule is the closest defined estimate.
-			row = cfg.GDRow(ranks)
-		}
-	default:
+	}
+	if row.NA {
+		// The GD schedule; for hve, the closest defined estimate where
+		// its tiles are too small for the model's HVE constraint.
 		row = cfg.GDRow(ranks)
 	}
 	pred := &Prediction{
@@ -192,7 +190,7 @@ func (s *Service) attachAnalysis(j *Job) {
 		return
 	}
 	j.pred, j.flopsPerIter, j.predRanks = s.predict(j.prob, j.params)
-	if j.params.Algorithm != "serial" {
+	if j.params.Algorithm != engine.Serial {
 		j.tracker = newRankTracker(j.params.MeshRows * j.params.MeshCols)
 	}
 	if j.pred != nil {

@@ -7,12 +7,11 @@ import (
 	"sync"
 	"time"
 
+	"ptychopath/internal/collective"
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
-	"ptychopath/internal/phantom"
-	"ptychopath/internal/tiling"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -58,46 +57,35 @@ func (s *Service) GridWorkers() []transport.WorkerInfo {
 	return s.grid.Workers()
 }
 
-// executeGrid runs one parallel job across leased grid workers. On
-// session failure it returns the last snapshot received (possibly nil)
-// so the caller flushes a final checkpoint, mirroring the partial-result
+// executeGrid runs one parallel job's plan across leased grid workers,
+// relaying the session's progress into the job's hooks. On session
+// failure it returns the last snapshot received (possibly nil) so the
+// caller flushes a final checkpoint, mirroring the partial-result
 // contract of the in-process engines.
-func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
+func (s *Service) executeGrid(j *Job, plan *engine.Plan, init []*grid.Complex2D, h solver.Hooks) ([]*grid.Complex2D, error) {
 	p := j.params
-	prob := j.prob
-	init := p.InitialObject
-	if init == nil {
-		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
-	}
-	mesh, err := tiling.NewMesh(prob.ImageBounds(), p.MeshRows, p.MeshCols,
-		tiling.HaloForWindow(prob.WindowN))
-	if err != nil {
-		return nil, err
-	}
-	ranks := mesh.NumTiles()
-
 	// Serialize the dataset and warm-start once; every rank receives
-	// the same blobs and derives its shard deterministically from the
-	// mesh (see gradsync.RunRank).
+	// the same blobs, rebuilds the same plan and derives its shard
+	// deterministically from the mesh (see gradsync.RunRank).
 	var probBuf, initBuf bytes.Buffer
-	if err := dataio.Write(&probBuf, prob); err != nil {
+	if err := dataio.Write(&probBuf, j.prob); err != nil {
 		return nil, fmt.Errorf("grid: encoding problem: %w", err)
 	}
 	if err := dataio.WriteObject(&initBuf, init); err != nil {
 		return nil, fmt.Errorf("grid: encoding initial object: %w", err)
 	}
-	setups := make([]*transport.Setup, ranks)
+	setups := make([]*transport.Setup, plan.Ranks())
 	for r := range setups {
 		setups[r] = &transport.Setup{
 			JobID:     j.id,
-			Algorithm: p.Algorithm,
-			MeshRows:  p.MeshRows, MeshCols: p.MeshCols, Halo: mesh.Halo,
-			HaloWidth: mesh.Halo, ExtraRows: 1, // hve defaults, matching execute()
-			StepSize:  p.StepSize, Iterations: p.Iterations,
-			RoundsPerIteration: p.RoundsPerIteration,
-			IntraWorkers:       p.IntraWorkers,
-			SnapshotEvery:      p.CheckpointEvery,
-			TimeoutMS:          s.cfg.Timeout.Milliseconds(),
+			Algorithm: plan.Algorithm,
+			MeshRows:  plan.MeshRows, MeshCols: plan.MeshCols, Halo: plan.Halo,
+			HaloWidth: plan.Halo, ExtraRows: plan.ExtraRows,
+			StepSize: plan.StepSize, Iterations: plan.Iterations,
+			RoundsPerIteration: plan.RoundsPerIteration,
+			IntraWorkers:       plan.IntraWorkers,
+			SnapshotEvery:      h.SnapshotEvery,
+			TimeoutMS:          plan.Timeout.Milliseconds(),
 			Trace:              p.RequestID,
 			Problem:            probBuf.Bytes(), Init: initBuf.Bytes(),
 		}
@@ -105,19 +93,14 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 
 	// lastSnap tracks the newest decoded snapshot for the final-
 	// checkpoint-on-failure guarantee; snapshots arrive on hub
-	// goroutines.
+	// goroutines. The workers report run-local indices; the hooks
+	// shift them by the job's StartIter like the in-process engines.
 	var snapMu sync.Mutex
 	var lastSnap []*grid.Complex2D
 	j.beginIterations()
 	sess, err := s.grid.StartSession(setups, transport.SessionCallbacks{
-		OnIteration: func(iter int, cost float64) {
-			s.observeIteration(j, j.recordIteration(p.StartIter+iter+1, cost))
-			s.logIteration(j, p.StartIter+iter+1, cost)
-			s.met.iterations.Add(1)
-		},
-		OnRankTiming: func(rank, iter int, computeNS, commNS int64) {
-			s.recordRankStats(j, rank, p.StartIter+iter+1, computeNS, commNS)
-		},
+		OnIteration:  h.ReportIteration,
+		OnRankTiming: h.ReportRankStats,
 		OnSnapshot: func(iter int, object []byte) error {
 			slices, err := dataio.ReadObject(bytes.NewReader(object))
 			if err != nil {
@@ -126,7 +109,7 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 			snapMu.Lock()
 			lastSnap = slices
 			snapMu.Unlock()
-			return s.snapshot(j, p.StartIter+iter+1, slices)
+			return h.Snapshot(iter, slices)
 		},
 	})
 	if err != nil {
@@ -138,9 +121,9 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 	// stalls longer than the communication timeout.
 	waitCtx, cancelWait := context.WithCancel(context.Background())
 	defer cancelWait()
-	stopRelay := context.AfterFunc(j.ctx, func() {
+	stopRelay := context.AfterFunc(h.Ctx, func() {
 		sess.Cancel()
-		t := time.AfterFunc(s.cfg.Timeout, cancelWait)
+		t := time.AfterFunc(plan.Timeout, cancelWait)
 		context.AfterFunc(waitCtx, func() { t.Stop() })
 	})
 	defer stopRelay()
@@ -152,60 +135,26 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 		snapMu.Unlock()
 		return snap, fmt.Errorf("grid: %w", err)
 	}
-	slices, cancelled, err := assembleGrid(p.Algorithm, mesh, results)
+	outs := make([]*collective.RankOutcome, len(results))
+	for i, r := range results {
+		slices, err := dataio.ReadObject(bytes.NewReader(r.Tile))
+		if err != nil {
+			return nil, fmt.Errorf("grid: decoding rank %d tile: %w", i, err)
+		}
+		outs[i] = &collective.RankOutcome{
+			Slices: slices, CostHistory: r.CostHistory,
+			Locations: r.Locations, Owned: r.Owned, MemBytes: r.MemBytes,
+			ComputeNS: r.ComputeNS, CommNS: r.CommNS,
+			SentBytes: r.SentBytes, SentMessages: r.SentMessages,
+			Cancelled: r.Cancelled,
+		}
+	}
+	res, err := plan.Assemble(outs)
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
-	if cancelled {
-		return slices, context.Canceled
+	if outs[0].Cancelled {
+		return res.Slices, context.Canceled
 	}
-	return slices, nil
-}
-
-// assembleGrid decodes per-rank results and stitches them with the
-// engine's own assembler, so a grid job's final object is byte-for-byte
-// what the in-process run of the same parameters produces.
-func assembleGrid(alg string, mesh *tiling.Mesh, results []*transport.RankResult) ([]*grid.Complex2D, bool, error) {
-	switch alg {
-	case "gd":
-		outs := make([]*gradsync.RankOutcome, len(results))
-		for i, r := range results {
-			slices, err := dataio.ReadObject(bytes.NewReader(r.Tile))
-			if err != nil {
-				return nil, false, fmt.Errorf("decoding rank %d tile: %w", i, err)
-			}
-			outs[i] = &gradsync.RankOutcome{
-				Slices: slices, CostHistory: r.CostHistory,
-				Locations: r.Locations, MemBytes: r.MemBytes,
-				ComputeNS: r.ComputeNS, CommNS: r.CommNS,
-				SentBytes: r.SentBytes, SentMessages: r.SentMessages,
-				Cancelled: r.Cancelled,
-			}
-		}
-		res, err := gradsync.AssembleResult(mesh, outs)
-		if err != nil {
-			return nil, false, err
-		}
-		return res.Slices, outs[0].Cancelled, nil
-	case "hve":
-		outs := make([]*halo.RankOutcome, len(results))
-		for i, r := range results {
-			slices, err := dataio.ReadObject(bytes.NewReader(r.Tile))
-			if err != nil {
-				return nil, false, fmt.Errorf("decoding rank %d tile: %w", i, err)
-			}
-			outs[i] = &halo.RankOutcome{
-				Slices: slices, CostHistory: r.CostHistory,
-				Locations: r.Locations, Owned: r.Owned, MemBytes: r.MemBytes,
-				SentBytes: r.SentBytes, SentMessages: r.SentMessages,
-				Cancelled: r.Cancelled,
-			}
-		}
-		res, err := halo.AssembleResult(mesh, outs)
-		if err != nil {
-			return nil, false, err
-		}
-		return res.Slices, outs[0].Cancelled, nil
-	}
-	return nil, false, fmt.Errorf("unknown grid algorithm %q", alg)
+	return res.Slices, nil
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/jobs/sched"
 	"ptychopath/internal/obs"
@@ -138,7 +139,7 @@ type Params struct {
 
 func (p *Params) setDefaults(cfg Config) {
 	if p.Algorithm == "" {
-		p.Algorithm = "serial"
+		p.Algorithm = engine.Serial
 	}
 	if p.Iterations == 0 {
 		p.Iterations = 20
@@ -166,17 +167,28 @@ func (p *Params) setDefaults(cfg Config) {
 	}
 }
 
+// plan resolves the job's engine through the single dispatch — at
+// submit to check the parameters, and again at every run (a preempted
+// or recovered job re-runs with fewer iterations).
+func (p *Params) plan(image grid.Rect, windowN int, timeout time.Duration) (*engine.Plan, error) {
+	return engine.New(engine.Spec{
+		Algorithm: p.Algorithm, MeshRows: p.MeshRows, MeshCols: p.MeshCols,
+		StepSize: p.StepSize, Iterations: p.Iterations,
+		RoundsPerIteration: p.RoundsPerIteration, IntraWorkers: p.IntraWorkers,
+		Timeout: timeout,
+	}, image, windowN)
+}
+
 func (p *Params) validate(prob *solver.Problem) error {
-	switch p.Algorithm {
-	case "serial", "gd", "hve":
-	default:
-		return fmt.Errorf("%w: unknown algorithm %q (want serial, gd, hve)", ErrInvalidParams, p.Algorithm)
-	}
-	if p.Grid && p.Algorithm == "serial" {
-		return fmt.Errorf("%w: grid execution requires a parallel algorithm (gd or hve)", ErrInvalidParams)
-	}
 	if err := p.validateCommon(); err != nil {
 		return err
+	}
+	plan, err := p.plan(prob.ImageBounds(), prob.WindowN, 0)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidParams, err)
+	}
+	if p.Grid && !plan.Parallel() {
+		return fmt.Errorf("%w: grid execution requires a parallel algorithm (gd or hve)", ErrInvalidParams)
 	}
 	if p.InitialObject != nil {
 		if len(p.InitialObject) != prob.Slices {
@@ -213,11 +225,8 @@ func (p *Params) validateCommon() error {
 // validateStreaming checks the parameters of a Streaming job against
 // its stream header.
 func (p *Params) validateStreaming(hdr *dataio.StreamHeader) error {
-	switch p.Algorithm {
-	case "serial", "gd":
-	default:
-		return fmt.Errorf("%w: unknown streaming algorithm %q (want serial or gd; hve needs a fixed location set)",
-			ErrInvalidParams, p.Algorithm)
+	if p.Algorithm == engine.HVE {
+		return fmt.Errorf("%w: streaming needs serial or gd (hve needs a fixed location set)", ErrInvalidParams)
 	}
 	if err := p.validateCommon(); err != nil {
 		return err
@@ -239,6 +248,9 @@ func (p *Params) validateStreaming(hdr *dataio.StreamHeader) error {
 	}
 	if err := hdr.Validate(); err != nil {
 		return fmt.Errorf("%w: invalid stream header: %v", ErrInvalidParams, err)
+	}
+	if _, err := p.plan(grid.RectWH(0, 0, hdr.ImageW, hdr.ImageH), hdr.WindowN, 0); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}
 	return nil
 }

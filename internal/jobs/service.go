@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
 	"ptychopath/internal/jobs/sched"
 	"ptychopath/internal/jobs/store"
 	"ptychopath/internal/obs"
@@ -22,7 +20,6 @@ import (
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/stream"
-	"ptychopath/internal/tiling"
 	"ptychopath/internal/transport"
 )
 
@@ -937,94 +934,63 @@ func (j *Job) completedIters() int {
 	return j.iter
 }
 
-// execute dispatches to the selected engine. On cancellation it returns
-// the engine's partial slices together with context.Canceled.
-func (s *Service) execute(j *Job) ([]*grid.Complex2D, error) {
-	if j.streaming {
-		return s.executeStream(j)
+// hooks builds the job's engine callbacks — progress, WAL log,
+// metrics, rank stats and checkpoints. The local, streaming and grid
+// paths all run with these, so a job is observed the same way whichever
+// path executes it. Indices arrive shifted by StartIter, so a resumed
+// or requeued job's counts continue where the earlier run stopped.
+func (s *Service) hooks(j *Job) solver.Hooks {
+	return solver.Hooks{
+		Ctx:        j.ctx,
+		IterOffset: j.params.StartIter,
+		OnIteration: func(iter int, cost float64) {
+			s.observeIteration(j, j.recordIteration(iter+1, cost))
+			s.logIteration(j, iter+1, cost)
+			s.met.iterations.Add(1)
+		},
+		OnRankStats: func(rank, iter int, computeNS, commNS int64) {
+			s.recordRankStats(j, rank, iter+1, computeNS, commNS)
+		},
+		SnapshotEvery: j.params.CheckpointEvery,
+		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
+			return s.snapshot(j, iter+1, slices)
+		},
 	}
-	if j.params.Grid {
-		return s.executeGrid(j)
+}
+
+// execute runs the job on its path — streaming, grid or local. On
+// cancellation it returns the engine's partial slices together with
+// context.Canceled.
+func (s *Service) execute(j *Job) ([]*grid.Complex2D, error) {
+	h := s.hooks(j)
+	if j.streaming {
+		return s.executeStream(j, h)
 	}
 	p := j.params
 	prob := j.prob
+	plan, err := p.plan(prob.ImageBounds(), prob.WindowN, s.cfg.Timeout)
+	if err != nil {
+		return nil, err
+	}
 	init := p.InitialObject
 	if init == nil {
 		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
 	}
-	onIter := func(iter int, cost float64) {
-		s.observeIteration(j, j.recordIteration(p.StartIter+iter+1, cost))
-		s.logIteration(j, p.StartIter+iter+1, cost)
-		s.met.iterations.Add(1)
+	if p.Grid {
+		return s.executeGrid(j, plan, init, h)
 	}
-	onSnap := func(iter int, slices []*grid.Complex2D) error {
-		return s.snapshot(j, p.StartIter+iter+1, slices)
+	j.beginIterations()
+	r, err := plan.Run(prob, init, h)
+	if r == nil {
+		return nil, err
 	}
-	switch p.Algorithm {
-	case "serial":
-		j.beginIterations()
-		r, err := solver.Reconstruct(prob, init, solver.Options{
-			StepSize: p.StepSize, Iterations: p.Iterations, Mode: solver.Batch,
-			OnIteration: onIter, Ctx: j.ctx,
-			SnapshotEvery: p.CheckpointEvery, OnSnapshot: onSnap,
-		})
-		if r == nil {
-			return nil, err
-		}
-		return r.Slices, err
-	case "gd":
-		mesh, err := tiling.NewMesh(prob.ImageBounds(), p.MeshRows, p.MeshCols,
-			tiling.HaloForWindow(prob.WindowN))
-		if err != nil {
-			return nil, err
-		}
-		j.beginIterations()
-		r, err := gradsync.Reconstruct(prob, init, gradsync.Options{
-			Mesh: mesh, Mode: gradsync.ModeBatch,
-			StepSize: p.StepSize, Iterations: p.Iterations,
-			RoundsPerIteration: p.RoundsPerIteration,
-			IntraWorkers:       p.IntraWorkers,
-			Timeout:            s.cfg.Timeout,
-			OnIteration:        onIter,
-			OnRankStats: func(rank, iter int, computeNS, commNS int64) {
-				s.recordRankStats(j, rank, p.StartIter+iter+1, computeNS, commNS)
-			},
-			Ctx:           j.ctx,
-			SnapshotEvery: p.CheckpointEvery, OnSnapshot: onSnap,
-		})
-		if r == nil {
-			return nil, err
-		}
-		return r.Slices, err
-	case "hve":
-		mesh, err := tiling.NewMesh(prob.ImageBounds(), p.MeshRows, p.MeshCols,
-			tiling.HaloForWindow(prob.WindowN))
-		if err != nil {
-			return nil, err
-		}
-		j.beginIterations()
-		r, err := halo.Reconstruct(prob, init, halo.Options{
-			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: 1,
-			StepSize: p.StepSize, Iterations: p.Iterations,
-			ExchangesPerIteration: p.RoundsPerIteration,
-			Timeout:               s.cfg.Timeout,
-			OnIteration:           onIter, Ctx: j.ctx,
-			SnapshotEvery: p.CheckpointEvery, OnSnapshot: onSnap,
-		})
-		if r == nil {
-			return nil, err
-		}
-		return r.Slices, err
-	}
-	return nil, fmt.Errorf("jobs: unknown algorithm %q", p.Algorithm)
+	return r.Slices, err
 }
 
 // executeStream runs a Streaming job: the engine folds ingest
 // arrivals at iteration boundaries and, once the stream closes, runs
-// the tail over the complete set. Iteration, fold, snapshot and
-// checkpoint plumbing is identical to the batch path, so previews,
-// /metrics and SSE events behave the same for both job kinds.
-func (s *Service) executeStream(j *Job) ([]*grid.Complex2D, error) {
+// the tail over the complete set.
+func (s *Service) executeStream(j *Job, h solver.Hooks) ([]*grid.Complex2D, error) {
 	p := j.params
 	j.beginIterations()
 	res, err := stream.Run(j.hdr, j.ingest, stream.Options{
@@ -1038,12 +1004,6 @@ func (s *Service) executeStream(j *Job) ([]*grid.Complex2D, error) {
 		RoundsPerIteration: p.RoundsPerIteration,
 		IntraWorkers:       p.IntraWorkers,
 		Timeout:            s.cfg.Timeout,
-		Ctx:                j.ctx,
-		OnIteration: func(iter int, cost float64) {
-			s.observeIteration(j, j.recordIteration(iter+1, cost))
-			s.logIteration(j, iter+1, cost)
-			s.met.iterations.Add(1)
-		},
 		OnFold: func(_, _, active int) {
 			j.recordFold(active)
 			s.met.folds.Add(1)
@@ -1051,10 +1011,7 @@ func (s *Service) executeStream(j *Job) ([]*grid.Complex2D, error) {
 		OnFoldTimed: func(iter, _, _ int, start time.Time, d time.Duration) {
 			j.tr.Record("fold", j.rootSpan, obs.RankCoordinator, iter, start, d)
 		},
-		SnapshotEvery: p.CheckpointEvery,
-		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
-			return s.snapshot(j, iter+1, slices)
-		},
+		Hooks: h,
 	})
 	if res == nil {
 		return nil, err

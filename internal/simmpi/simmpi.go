@@ -149,31 +149,11 @@ func NewWorld(size int, timeout time.Duration) *World {
 	return w
 }
 
-// Run executes fn on every rank concurrently and waits for all to
-// finish, collecting the first error (rank panics become errors).
+// Run executes fn on every rank of a new world concurrently and waits
+// for all to finish, collecting the first error (rank panics become
+// errors).
 func Run(size int, timeout time.Duration, fn func(c *Comm) error) error {
-	w := NewWorld(size, timeout)
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("simmpi: rank %d panicked: %v", rank, p)
-				}
-			}()
-			errs[rank] = fn(&Comm{rank: rank, world: w})
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return NewWorld(size, timeout).RunAll(fn)
 }
 
 // Rank returns this communicator's rank.
@@ -359,7 +339,7 @@ func (w *World) BytesReceivedBy(rank int) int64 { return w.boxes[rank].bytesIn.L
 // harness that launched Run via NewWorld + manual goroutines.
 func (c *Comm) World() *World { return c.world }
 
-// RunWorld executes fn on every rank of an existing world (the caller
+// RunAll executes fn on every rank of an existing world (the caller
 // keeps the world handle for counter inspection).
 func (w *World) RunAll(fn func(c *Comm) error) error {
 	errs := make([]error, w.size)

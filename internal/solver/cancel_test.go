@@ -38,11 +38,12 @@ func TestCancelReturnsPartialResult(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	partial, err := Reconstruct(prob, init, Options{
-		StepSize: 0.01, Iterations: total, Mode: Batch, Ctx: ctx,
-		OnIteration: func(iter int, cost float64) {
-			if iter+1 == cancelAfter {
-				cancel()
-			}
+		StepSize: 0.01, Iterations: total, Mode: Batch, Hooks: Hooks{Ctx: ctx,
+			OnIteration: func(iter int, cost float64) {
+				if iter+1 == cancelAfter {
+					cancel()
+				}
+			},
 		},
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -77,10 +78,11 @@ func TestSnapshotHook(t *testing.T) {
 
 	var iters []int
 	if _, err := Reconstruct(prob, init, Options{
-		StepSize: 0.01, Iterations: 5, Mode: Batch, SnapshotEvery: 2,
-		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
-			iters = append(iters, iter)
-			return nil
+		StepSize: 0.01, Iterations: 5, Mode: Batch, Hooks: Hooks{SnapshotEvery: 2,
+			OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
+				iters = append(iters, iter)
+				return nil
+			},
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -91,8 +93,9 @@ func TestSnapshotHook(t *testing.T) {
 
 	boom := errors.New("spool unwritable")
 	if _, err := Reconstruct(prob, init, Options{
-		StepSize: 0.01, Iterations: 5, Mode: Batch, SnapshotEvery: 1,
-		OnSnapshot: func(int, []*grid.Complex2D) error { return boom },
+		StepSize: 0.01, Iterations: 5, Mode: Batch, Hooks: Hooks{SnapshotEvery: 1,
+			OnSnapshot: func(int, []*grid.Complex2D) error { return boom },
+		},
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want snapshot error", err)
 	}

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"context"
 	"fmt"
 
 	"ptychopath/internal/grid"
@@ -40,23 +39,24 @@ type Options struct {
 	// StopBelowCost, when positive, ends the run early once the
 	// iteration cost falls below it.
 	StopBelowCost float64
-	// OnIteration, when non-nil, receives the iteration index and the
-	// cost F(V) measured during that iteration's gradient evaluations.
-	OnIteration func(iter int, cost float64)
-	// Ctx, when non-nil, cancels the run at iteration boundaries: once
-	// Ctx is done, Reconstruct stops after the current iteration and
-	// returns the PARTIAL Result (slices and cost history so far)
-	// together with Ctx's error, so callers can checkpoint the
-	// in-progress object.
-	Ctx context.Context
-	// SnapshotEvery, together with OnSnapshot, emits periodic object
-	// snapshots: after every SnapshotEvery-th iteration OnSnapshot
-	// receives the 0-based iteration index and the current slices. The
-	// slices are the solver's live buffers, valid only for the duration
-	// of the call — copy (or serialize) to retain. A non-nil error
-	// aborts the run.
-	SnapshotEvery int
-	OnSnapshot    func(iter int, slices []*grid.Complex2D) error
+	Hooks
+}
+
+// Check validates the options independently of a problem.
+func (o *Options) Check() error {
+	if o.StepSize <= 0 {
+		return fmt.Errorf("solver: step size must be positive, got %g", o.StepSize)
+	}
+	if o.Iterations <= 0 {
+		return fmt.Errorf("solver: iterations must be positive, got %d", o.Iterations)
+	}
+	if o.ProbeStepSize < 0 {
+		return fmt.Errorf("solver: probe step size must be non-negative, got %g", o.ProbeStepSize)
+	}
+	if o.Mode != Batch && o.Mode != Sequential {
+		return fmt.Errorf("solver: unknown update mode %d", o.Mode)
+	}
+	return nil
 }
 
 // Result carries the reconstruction and its convergence trace.
@@ -78,14 +78,8 @@ func Reconstruct(prob *Problem, init []*grid.Complex2D, opt Options) (*Result, e
 	if len(init) != prob.Slices {
 		return nil, fmt.Errorf("solver: %d initial slices, want %d", len(init), prob.Slices)
 	}
-	if opt.StepSize <= 0 {
-		return nil, fmt.Errorf("solver: step size must be positive, got %g", opt.StepSize)
-	}
-	if opt.Iterations <= 0 {
-		return nil, fmt.Errorf("solver: iterations must be positive, got %d", opt.Iterations)
-	}
-	if opt.ProbeStepSize < 0 {
-		return nil, fmt.Errorf("solver: probe step size must be non-negative, got %g", opt.ProbeStepSize)
+	if err := opt.Check(); err != nil {
+		return nil, err
 	}
 	slices := make([]*grid.Complex2D, len(init))
 	for i, s := range init {
@@ -160,22 +154,18 @@ func Reconstruct(prob *Problem, init []*grid.Complex2D, opt Options) (*Result, e
 				}
 				applyProbe()
 			}
-		default:
-			return nil, fmt.Errorf("solver: unknown update mode %d", opt.Mode)
 		}
 		hist = append(hist, cost)
-		if opt.OnIteration != nil {
-			opt.OnIteration(iter, cost)
-		}
-		if opt.SnapshotEvery > 0 && opt.OnSnapshot != nil && (iter+1)%opt.SnapshotEvery == 0 {
-			if err := opt.OnSnapshot(iter, slices); err != nil {
+		opt.ReportIteration(iter, cost)
+		if opt.SnapshotDue(iter) {
+			if err := opt.Snapshot(iter, slices); err != nil {
 				return nil, fmt.Errorf("solver: snapshot at iteration %d: %w", iter, err)
 			}
 		}
 		if opt.StopBelowCost > 0 && cost < opt.StopBelowCost {
 			break
 		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+		if opt.Cancelled() {
 			res := &Result{Slices: slices, CostHistory: hist}
 			if refineProbe {
 				res.RefinedProbe = probe

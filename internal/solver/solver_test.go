@@ -177,7 +177,7 @@ func TestOnIterationCallback(t *testing.T) {
 	var calls []int
 	_, err := Reconstruct(prob, init.Slices, Options{
 		StepSize: 0.02, Iterations: 3, Mode: Batch,
-		OnIteration: func(it int, cost float64) { calls = append(calls, it) },
+		Hooks: Hooks{OnIteration: func(it int, cost float64) { calls = append(calls, it) }},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/tiling"
 )
 
 // Options configures a streaming reconstruction.
@@ -47,13 +46,6 @@ type Options struct {
 	// InitialObject warm-starts the run (copied, not mutated); nil
 	// means vacuum.
 	InitialObject []*grid.Complex2D
-	// Ctx, when non-nil, cancels the run at iteration boundaries (and
-	// wakes the engine when it is blocked waiting for the first
-	// frames). Run returns the partial result with Ctx's error.
-	Ctx context.Context
-	// OnIteration receives the 0-based global iteration index and the
-	// cost over the active set measured during that iteration.
-	OnIteration func(iter int, cost float64)
 	// OnFold fires after each fold that grew the active set: the
 	// iteration count completed so far, the number of frames folded,
 	// and the new active-set size.
@@ -61,13 +53,15 @@ type Options struct {
 	// OnFoldTimed additionally reports when the fold started and how
 	// long it took (the AppendLocations work); nil skips the timing.
 	OnFoldTimed func(iter, added, active int, start time.Time, d time.Duration)
-	// SnapshotEvery, with OnSnapshot, emits periodic object snapshots
-	// exactly like the batch engines (0-based iteration index; live
-	// buffers for the serial engine — copy to retain). The cadence is
-	// exact for the serial engine; the gd engine snapshots at epoch
-	// boundaries, so cadence is exact when FoldEvery is 1.
-	SnapshotEvery int
-	OnSnapshot    func(iter int, slices []*grid.Complex2D) error
+	// Hooks carries the shared callbacks, counted over the whole
+	// streaming run (open-stream and tail iterations alike). Ctx also
+	// wakes the engine when it is blocked waiting for the first frames;
+	// OnIteration receives the cost over the active set; OnRankStats
+	// fires for the gd engine's ranks. Snapshots carry live buffers for
+	// the serial engine (copy to retain). The snapshot cadence is exact
+	// for the serial engine; the gd engine snapshots at epoch
+	// boundaries, so its cadence is exact when FoldEvery is 1.
+	solver.Hooks
 }
 
 func (o *Options) setDefaults() {
@@ -98,10 +92,8 @@ func (o *Options) validate(hdr *dataio.StreamHeader) error {
 	if err := hdr.Validate(); err != nil {
 		return err
 	}
-	switch o.Algorithm {
-	case "serial", "gd":
-	default:
-		return fmt.Errorf("stream: unknown algorithm %q (want serial or gd)", o.Algorithm)
+	if o.Algorithm == engine.HVE {
+		return fmt.Errorf("stream: %s needs a fixed location set (want %s or %s)", engine.HVE, engine.Serial, engine.GD)
 	}
 	if o.StepSize <= 0 {
 		return fmt.Errorf("stream: step size must be positive, got %g", o.StepSize)
@@ -154,29 +146,23 @@ type recorder struct {
 	folds int
 }
 
-// record publishes one completed iteration (serial engine: the
-// recorder numbers iterations itself).
+// record publishes one completed iteration.
 func (r *recorder) record(cost float64) {
-	r.recordIndexed(r.done, cost)
-}
-
-// recordIndexed publishes one completed iteration whose 0-based global
-// index the engine reports directly — the gd engine's gradsync epochs
-// carry IterOffset, so the index arriving here is already continuous
-// across epochs and becomes the recorder's progress counter.
-func (r *recorder) recordIndexed(iter int, cost float64) {
 	r.hist = append(r.hist, cost)
-	r.done = iter + 1
-	if r.opt.OnIteration != nil {
-		r.opt.OnIteration(iter, cost)
-	}
+	r.done++
+	r.opt.ReportIteration(r.done-1, cost)
 }
 
-// snapshotDue reports whether the global cadence owes a snapshot after
-// r.done completed iterations.
-func (r *recorder) snapshotDue() bool {
-	return r.opt.SnapshotEvery > 0 && r.opt.OnSnapshot != nil &&
-		r.done > 0 && r.done%r.opt.SnapshotEvery == 0
+// snapshot emits the snapshot the cadence owes after r.done completed
+// iterations, if any.
+func (r *recorder) snapshot(slices []*grid.Complex2D) error {
+	if r.done == 0 || !r.opt.SnapshotDue(r.done-1) {
+		return nil
+	}
+	if err := r.opt.Snapshot(r.done-1, slices); err != nil {
+		return fmt.Errorf("stream: snapshot at iteration %d: %w", r.done-1, err)
+	}
+	return nil
 }
 
 // serialEngine runs the exact batch gradient-descent step of
@@ -222,14 +208,11 @@ func (e *serialEngine) iterate() float64 {
 func (e *serialEngine) run(n int, rec *recorder) error {
 	opt := rec.opt
 	for k := 0; k < n; k++ {
-		cost := e.iterate()
-		rec.record(cost)
-		if rec.snapshotDue() {
-			if err := opt.OnSnapshot(rec.done-1, e.slices); err != nil {
-				return fmt.Errorf("stream: snapshot at iteration %d: %w", rec.done-1, err)
-			}
+		rec.record(e.iterate())
+		if err := rec.snapshot(e.slices); err != nil {
+			return err
 		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+		if opt.Cancelled() {
 			return context.Cause(opt.Ctx)
 		}
 	}
@@ -238,39 +221,26 @@ func (e *serialEngine) run(n int, rec *recorder) error {
 
 func (e *serialEngine) object() []*grid.Complex2D { return e.slices }
 
-// gdEngine runs Gradient Decomposition in epochs: each call
-// re-partitions the grown location set across the tile mesh
-// (Mesh.AssignLocations inside gradsync.Reconstruct) and advances the
-// object by one epoch of iterations, warm-starting from the previous
-// epoch's stitched result. IterOffset keeps reported iteration indices
-// continuous across epochs.
+// gdEngine runs Gradient Decomposition in epochs: each call runs the
+// plan once more over the grown location set (RunRank re-partitions it
+// across the tile mesh) and advances the object by one epoch of
+// iterations, warm-starting from the previous epoch's stitched result.
+// IterOffset keeps reported indices continuous across epochs.
 type gdEngine struct {
 	prob *solver.Problem
 	cur  []*grid.Complex2D
-	mesh *tiling.Mesh
-	opt  *Options
-}
-
-func newGDEngine(prob *solver.Problem, init []*grid.Complex2D, opt *Options) (*gdEngine, error) {
-	mesh, err := tiling.NewMesh(prob.ImageBounds(), opt.MeshRows, opt.MeshCols,
-		tiling.HaloForWindow(prob.WindowN))
-	if err != nil {
-		return nil, err
-	}
-	return &gdEngine{prob: prob, cur: init, mesh: mesh, opt: opt}, nil
+	plan *engine.Plan
 }
 
 func (e *gdEngine) run(n int, rec *recorder) error {
 	opt := rec.opt
-	r, err := gradsync.Reconstruct(e.prob, e.cur, gradsync.Options{
-		Mesh: e.mesh, Mode: gradsync.ModeBatch,
-		StepSize: opt.StepSize, Iterations: n,
-		RoundsPerIteration: opt.RoundsPerIteration,
-		IntraWorkers:       opt.IntraWorkers,
-		Timeout:            opt.Timeout,
-		IterOffset:         rec.done,
-		OnIteration:        rec.recordIndexed,
-		Ctx:                opt.Ctx,
+	epoch := *e.plan
+	epoch.Iterations = n
+	r, err := epoch.Run(e.prob, e.cur, solver.Hooks{
+		Ctx:         opt.Ctx,
+		OnIteration: func(_ int, cost float64) { rec.record(cost) },
+		OnRankStats: opt.OnRankStats,
+		IterOffset:  opt.IterOffset + rec.done,
 	})
 	if r != nil {
 		e.cur = r.Slices
@@ -280,18 +250,13 @@ func (e *gdEngine) run(n int, rec *recorder) error {
 	}
 	// Epoch-boundary snapshot: the stitched full-image object is only
 	// available between epochs.
-	if rec.snapshotDue() {
-		if serr := opt.OnSnapshot(rec.done-1, e.cur); serr != nil {
-			return fmt.Errorf("stream: snapshot at iteration %d: %w", rec.done-1, serr)
-		}
-	}
-	return nil
+	return rec.snapshot(e.cur)
 }
 
 func (e *gdEngine) object() []*grid.Complex2D { return e.cur }
 
-// engine is the per-algorithm stepping interface of the streaming loop.
-type engine interface {
+// stepper is the per-engine stepping interface of the streaming loop.
+type stepper interface {
 	// run advances the reconstruction by up to n iterations over the
 	// CURRENT active set, reporting progress through rec. A non-nil
 	// error with partial progress (cancellation) leaves object() valid.
@@ -325,15 +290,20 @@ func Run(hdr *dataio.StreamHeader, in *Ingest, opt Options) (*Result, error) {
 		}
 		init = cp
 	}
-	var eng engine
-	var err error
-	switch opt.Algorithm {
-	case "serial":
+	plan, err := engine.New(engine.Spec{
+		Algorithm: opt.Algorithm, MeshRows: opt.MeshRows, MeshCols: opt.MeshCols,
+		StepSize: opt.StepSize, Iterations: opt.TailIterations,
+		RoundsPerIteration: opt.RoundsPerIteration, IntraWorkers: opt.IntraWorkers,
+		Timeout: opt.Timeout,
+	}, prob.ImageBounds(), prob.WindowN)
+	if err != nil {
+		return nil, err
+	}
+	var eng stepper
+	if plan.Parallel() {
+		eng = &gdEngine{prob: prob, cur: init, plan: plan}
+	} else {
 		eng = newSerialEngine(prob, init, opt.StepSize)
-	case "gd":
-		if eng, err = newGDEngine(prob, init, &opt); err != nil {
-			return nil, err
-		}
 	}
 
 	rec := &recorder{opt: &opt}

@@ -294,7 +294,7 @@ func TestRunCancelledWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(dataio.HeaderFromProblem(prob), in, Options{Ctx: ctx})
+		_, err := Run(dataio.HeaderFromProblem(prob), in, Options{Hooks: solver.Hooks{Ctx: ctx}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

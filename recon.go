@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/gradsync"
-	"ptychopath/internal/halo"
 	"ptychopath/internal/metrics"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/solver"
@@ -72,7 +71,7 @@ type ReconstructOptions struct {
 	// in Result.RefinedProbe.
 	ProbeRefineStep float64
 	// HVEExtraRows is the baseline's redundant probe-location rows
-	// (paper: 2). Default 1 at laptop scale.
+	// (paper: 2). Default 1 at laptop scale (engine.DefaultExtraRows).
 	HVEExtraRows int
 	// IntraWorkers is how many goroutines each Gradient Decomposition
 	// worker uses for its own gradient computations (the stand-in for
@@ -117,9 +116,13 @@ func (o *ReconstructOptions) setDefaults() {
 	if o.RoundsPerIteration == 0 {
 		o.RoundsPerIteration = 1
 	}
-	if o.HVEExtraRows == 0 {
-		o.HVEExtraRows = 1
-	}
+}
+
+// engineNames maps the public algorithms onto the engine dispatch.
+var engineNames = [...]string{
+	Serial:                engine.Serial,
+	GradientDecomposition: engine.GD,
+	HaloVoxelExchange:     engine.HVE,
 }
 
 // Result carries a reconstruction and its run statistics.
@@ -167,106 +170,49 @@ func (d *Dataset) Reconstruct(opt ReconstructOptions) (*Result, error) {
 			init.Slices[i] = f.toGrid()
 		}
 	}
-	var onSnapshot func(iter int, slices []*grid.Complex2D) error
+	if opt.Algorithm < 0 || int(opt.Algorithm) >= len(engineNames) {
+		return nil, fmt.Errorf("ptycho: unknown algorithm %v", opt.Algorithm)
+	}
+	plan, err := engine.New(engine.Spec{
+		Algorithm: engineNames[opt.Algorithm], MeshRows: opt.MeshRows, MeshCols: opt.MeshCols,
+		StepSize: opt.StepSize, Iterations: opt.Iterations,
+		RoundsPerIteration: opt.RoundsPerIteration, IntraWorkers: opt.IntraWorkers,
+		Sequential: opt.SerialSequential, Faithful: opt.FaithfulAlg1,
+		DisableAPPP: opt.DisableAPPP, ProbeStepSize: opt.ProbeRefineStep,
+		ExtraRows: opt.HVEExtraRows, Timeout: opt.Timeout,
+	}, bounds, d.prob.WindowN)
+	if err != nil {
+		return nil, err
+	}
+	h := solver.Hooks{
+		Ctx: opt.Ctx, OnIteration: opt.OnIteration, SnapshotEvery: opt.SnapshotEvery,
+	}
 	if opt.OnSnapshot != nil {
-		onSnapshot = func(iter int, slices []*grid.Complex2D) error {
+		h.OnSnapshot = func(iter int, slices []*grid.Complex2D) error {
 			return opt.OnSnapshot(iter, toFields(slices))
 		}
 	}
-
-	res := &Result{imageW: bounds.W(), imageH: bounds.H()}
-	switch opt.Algorithm {
-	case Serial:
-		mode := solver.Batch
-		if opt.SerialSequential {
-			mode = solver.Sequential
-		}
-		r, err := solver.Reconstruct(d.prob, init.Slices, solver.Options{
-			StepSize: opt.StepSize, Iterations: opt.Iterations,
-			Mode: mode, ProbeStepSize: opt.ProbeRefineStep,
-			OnIteration: opt.OnIteration,
-			Ctx:         opt.Ctx,
-			SnapshotEvery: opt.SnapshotEvery, OnSnapshot: onSnapshot,
-		})
-		if r == nil {
-			return nil, err
-		}
-		res.Slices = toFields(r.Slices)
-		res.CostHistory = r.CostHistory
-		res.Workers = 1
-		if r.RefinedProbe != nil {
-			res.RefinedProbe = fieldFrom(r.RefinedProbe)
-		}
-		return res, err
-
-	case GradientDecomposition:
-		mesh, err := d.mesh(opt.MeshRows, opt.MeshCols)
-		if err != nil {
-			return nil, err
-		}
-		mode := gradsync.ModeBatch
-		if opt.FaithfulAlg1 {
-			mode = gradsync.ModeFaithful
-		}
-		r, err := gradsync.Reconstruct(d.prob, init.Slices, gradsync.Options{
-			Mesh: mesh, Mode: mode,
-			StepSize: opt.StepSize, Iterations: opt.Iterations,
-			RoundsPerIteration: opt.RoundsPerIteration,
-			DisableAPPP:        opt.DisableAPPP,
-			IntraWorkers:       opt.IntraWorkers,
-			Timeout:            opt.Timeout,
-			OnIteration:        opt.OnIteration,
-			Ctx:                opt.Ctx,
-			SnapshotEvery:      opt.SnapshotEvery, OnSnapshot: onSnapshot,
-		})
-		if r == nil {
-			return nil, err
-		}
-		res.Slices = toFields(r.Slices)
-		res.CostHistory = r.CostHistory
-		res.Workers = mesh.NumTiles()
-		res.BytesSent = r.BytesSent
-		res.MessagesSent = r.MessagesSent
-		res.PerRankLocations = r.PerRankLocations
-		res.PerRankMemBytes = r.PerRankMemBytes
-		res.meshRows, res.meshCols = opt.MeshRows, opt.MeshCols
-		return res, err
-
-	case HaloVoxelExchange:
-		mesh, err := d.mesh(opt.MeshRows, opt.MeshCols)
-		if err != nil {
-			return nil, err
-		}
-		r, err := halo.Reconstruct(d.prob, init.Slices, halo.Options{
-			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: opt.HVEExtraRows,
-			StepSize: opt.StepSize, Iterations: opt.Iterations,
-			ExchangesPerIteration: opt.RoundsPerIteration,
-			Timeout:               opt.Timeout,
-			OnIteration:           opt.OnIteration,
-			Ctx:                   opt.Ctx,
-			SnapshotEvery:         opt.SnapshotEvery, OnSnapshot: onSnapshot,
-		})
-		if r == nil {
-			return nil, err
-		}
-		res.Slices = toFields(r.Slices)
-		res.CostHistory = r.CostHistory
-		res.Workers = mesh.NumTiles()
-		res.BytesSent = r.BytesSent
-		res.MessagesSent = r.MessagesSent
-		res.PerRankLocations = r.PerRankLocations
-		res.PerRankMemBytes = r.PerRankMemBytes
-		res.meshRows, res.meshCols = opt.MeshRows, opt.MeshCols
-		return res, err
+	r, err := plan.Run(d.prob, init.Slices, h)
+	if r == nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("ptycho: unknown algorithm %v", opt.Algorithm)
-}
-
-// mesh builds the tile mesh with the halo sized so every tile covers its
-// own probe windows (the Gradient Decomposition requirement).
-func (d *Dataset) mesh(rows, cols int) (*tiling.Mesh, error) {
-	return tiling.NewMesh(d.prob.ImageBounds(), rows, cols,
-		tiling.HaloForWindow(d.prob.WindowN))
+	res := &Result{
+		Slices:           toFields(r.Slices),
+		CostHistory:      r.CostHistory,
+		Workers:          plan.Ranks(),
+		BytesSent:        r.BytesSent,
+		MessagesSent:     r.MessagesSent,
+		PerRankLocations: r.PerRankLocations,
+		PerRankMemBytes:  r.PerRankMemBytes,
+		imageW:           bounds.W(), imageH: bounds.H(),
+	}
+	if r.RefinedProbe != nil {
+		res.RefinedProbe = fieldFrom(r.RefinedProbe)
+	}
+	if plan.Parallel() {
+		res.meshRows, res.meshCols = opt.MeshRows, opt.MeshCols
+	}
+	return res, err
 }
 
 func toFields(slices []*grid.Complex2D) []Field {
