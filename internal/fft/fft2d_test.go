@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -17,10 +18,12 @@ func randArray(rng *rand.Rand, w, h int) *grid.Complex2D {
 	return a
 }
 
-// naive2D computes the 2-D DFT directly.
-func naive2D(a *grid.Complex2D, dir Direction) *grid.Complex2D {
+// naive2D computes the 2-D DFT directly, with both angle terms reduced
+// (kx*x mod w, ky*y mod h) like naiveDFT's. The inverse includes the
+// 1/(w*h) scaling.
+func naive2D(a *grid.Complex2D, dir Direction) []complex128 {
 	w, h := a.W(), a.H()
-	out := grid.NewComplex2D(a.Bounds)
+	out := make([]complex128, w*h)
 	sign := -1.0
 	if dir == Inverse {
 		sign = 1.0
@@ -30,29 +33,42 @@ func naive2D(a *grid.Complex2D, dir Direction) *grid.Complex2D {
 			var s complex128
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
-					ang := sign * 2 * math.Pi * (float64(kx*x)/float64(w) + float64(ky*y)/float64(h))
-					s += a.Data[y*w+x] * cmplx.Exp(complex(0, ang))
+					turns := float64(kx*x%w)/float64(w) + float64(ky*y%h)/float64(h)
+					sin, cos := math.Sincos(sign * 2 * math.Pi * turns)
+					s += a.Data[y*w+x] * complex(cos, sin)
 				}
 			}
-			out.Data[ky*w+kx] = s
+			out[ky*w+kx] = s
 		}
 	}
 	if dir == Inverse {
-		out.Scale(complex(1/float64(w*h), 0))
+		for i := range out {
+			out[i] /= complex(float64(w*h), 0)
+		}
 	}
 	return out
 }
 
+// TestPlan2DMatchesNaive holds 2-D transforms, both directions, to the
+// kernel's stated bound 1e-14*log2(w*h) (see accuracyBound) on square
+// and non-square mixes of smooth and Bluestein dimensions.
 func TestPlan2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][2]int{{4, 4}, {8, 4}, {3, 5}, {6, 8}, {16, 16}} {
+	for _, dims := range [][2]int{{4, 4}, {8, 4}, {3, 5}, {6, 8}, {16, 16}, {6, 10}, {16, 24}, {24, 16},
+		{24, 24}, {32, 32}, {15, 32}, {48, 20}, {7, 12}, {12, 13}, {17, 31}} {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
-		want := naive2D(a, Forward)
-		got := a.Clone()
-		NewPlan2D(w, h, false).Transform(got, Forward)
-		if got.MaxDiff(want) > 1e-8 {
-			t.Errorf("%dx%d: 2-D forward error %g", w, h, got.MaxDiff(want))
+		for _, dir := range []Direction{Forward, Inverse} {
+			want := naive2D(a, dir)
+			got := a.Clone()
+			NewPlan2D(w, h).Transform(got, dir)
+			scale := 1.0
+			if dir == Inverse {
+				scale = float64(w * h)
+			}
+			if e := relErr(got.Data, want, a.Data, scale); e > accuracyBound(w*h) {
+				t.Errorf("%dx%d dir=%d: relative error %.3g > bound %.3g", w, h, dir, e, accuracyBound(w*h))
+			}
 		}
 	}
 }
@@ -63,24 +79,12 @@ func TestPlan2DRoundTrip(t *testing.T) {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
 		b := a.Clone()
-		p := NewPlan2D(w, h, false)
+		p := NewPlan2D(w, h)
 		p.Transform(b, Forward)
 		p.Transform(b, Inverse)
 		if a.MaxDiff(b) > 1e-10 {
 			t.Errorf("%dx%d: roundtrip error %g", w, h, a.MaxDiff(b))
 		}
-	}
-}
-
-func TestPlan2DParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randArray(rng, 128, 128)
-	serial := a.Clone()
-	NewPlan2D(128, 128, false).Transform(serial, Forward)
-	par := a.Clone()
-	NewPlan2D(128, 128, true).Transform(par, Forward)
-	if serial.MaxDiff(par) > 1e-10 {
-		t.Fatalf("parallel/serial mismatch: %g", serial.MaxDiff(par))
 	}
 }
 
@@ -90,7 +94,7 @@ func TestPlan2DOffsetBoundsIgnored(t *testing.T) {
 	a := randArray(rng, 16, 16)
 	b := grid.NewComplex2D(grid.NewRect(100, 200, 116, 216))
 	copy(b.Data, a.Data)
-	p := NewPlan2D(16, 16, false)
+	p := NewPlan2D(16, 16)
 	p.Transform(a, Forward)
 	p.Transform(b, Forward)
 	for i := range a.Data {
@@ -106,7 +110,7 @@ func TestPlan2DShapeMismatchPanics(t *testing.T) {
 			t.Fatal("shape mismatch must panic")
 		}
 	}()
-	NewPlan2D(8, 8, false).Transform(grid.NewComplex2DSize(8, 9), Forward)
+	NewPlan2D(8, 8).Transform(grid.NewComplex2DSize(8, 9), Forward)
 }
 
 func TestShiftUnshiftInverse(t *testing.T) {
@@ -161,7 +165,7 @@ func TestPlan2DSeparability(t *testing.T) {
 			a.Data[y*n+x] = u[x] * v[y]
 		}
 	}
-	NewPlan2D(n, n, false).Transform(a, Forward)
+	NewPlan2D(n, n).Transform(a, Forward)
 	fu := append([]complex128(nil), u...)
 	fv := append([]complex128(nil), v...)
 	p := NewPlan(n)
@@ -188,20 +192,23 @@ func BenchmarkFFT1D1024(b *testing.B) {
 	}
 }
 
-func BenchmarkFFT2D128(b *testing.B) {
-	p := NewPlan2D(128, 128, false)
-	a := grid.NewComplex2DSize(128, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Transform(a, Forward)
-	}
-}
-
-func BenchmarkFFT2D256Parallel(b *testing.B) {
-	p := NewPlan2D(256, 256, true)
-	a := grid.NewComplex2DSize(256, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Transform(a, Forward)
+// BenchmarkFFT2D measures one forward plus one inverse 2-D transform
+// through a per-worker Scratch — the call pattern of the gradient
+// kernel — at the window sizes the reconstruction workloads use (16,
+// 24, 32) and at 128.
+func BenchmarkFFT2D(b *testing.B) {
+	for _, n := range []int{16, 24, 32, 128} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			p := NewPlan2D(n, n)
+			a := randArray(rand.New(rand.NewSource(1)), n, n)
+			var s Scratch
+			s.Warm(p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.TransformScratch(a, Forward, &s)
+				p.TransformScratch(a, Inverse, &s)
+			}
+		})
 	}
 }

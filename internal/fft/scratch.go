@@ -1,27 +1,28 @@
 package fft
 
-// Scratch is a reusable per-worker arena for FFT workspace buffers.
-// Passing one to TransformScratch makes transforms allocation-free in
-// steady state: the arena grows to the largest size requested and is
-// reused verbatim afterwards. This is the foundation of the repo's
-// allocation-free gradient hot path — each reconstruction worker (one
-// per simulated GPU) owns exactly one Scratch and threads it through
-// every transform it performs.
+// Scratch is a reusable per-worker arena for FFT workspace: the
+// Stockham kernel's ping-pong buffer and, for lengths that need
+// Bluestein, the padded convolution buffer. Passing one to
+// TransformScratch makes transforms allocation-free in steady state:
+// each buffer grows to the largest size requested and is reused
+// verbatim afterwards. Each reconstruction worker (one per simulated
+// GPU) owns exactly one Scratch and threads it through every transform
+// it performs; Transform borrows one from an internal pool.
 //
 // A Scratch is NOT safe for concurrent use. Concurrent workers must
 // each own their own arena; sharing one between goroutines corrupts
 // in-flight transforms.
 type Scratch struct {
-	col  []complex128 // column gather buffer for 2-D passes
+	work []complex128 // Stockham ping-pong buffer
 	conv []complex128 // Bluestein convolution workspace
 }
 
-// colBuf returns the column buffer grown to at least n elements.
-func (s *Scratch) colBuf(n int) []complex128 {
-	if cap(s.col) < n {
-		s.col = make([]complex128, n)
+// workBuf returns the ping-pong buffer grown to at least n elements.
+func (s *Scratch) workBuf(n int) []complex128 {
+	if cap(s.work) < n {
+		s.work = make([]complex128, n)
 	}
-	return s.col[:n]
+	return s.work[:n]
 }
 
 // convBuf returns the Bluestein workspace grown to at least n elements.
@@ -37,11 +38,6 @@ func (s *Scratch) convBuf(n int) []complex128 {
 // with any plan the arena will later serve; the arena keeps the
 // largest size seen.
 func (s *Scratch) Warm(p *Plan2D) {
-	s.colBuf(p.h)
-	if !p.rowPlan.pow2 {
-		s.convBuf(p.rowPlan.m)
-	}
-	if !p.colPlan.pow2 {
-		s.convBuf(p.colPlan.m)
-	}
+	s.workBuf(max(p.rowPlan.workLen(1), p.colPlan.workLen(p.w)))
+	s.convBuf(max(p.rowPlan.convLen(1), p.colPlan.convLen(p.w)))
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // TestTransformScratchMatchesTransform checks bit-identical output of
-// the arena path against the pooled path for both kernels and both
-// directions — the refactor changes buffer lifetimes, not math.
+// the arena path against the pooled path for smooth and Bluestein
+// lengths in both directions.
 func TestTransformScratchMatchesTransform(t *testing.T) {
 	var s Scratch
-	for _, n := range []int{8, 24, 48, 64} {
+	for _, n := range []int{8, 13, 24, 48, 64} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
@@ -32,34 +32,38 @@ func TestTransformScratchMatchesTransform(t *testing.T) {
 }
 
 // TestTransformScratch2DMatches checks the 2-D arena path against the
-// pooled path, including mixed pow2/Bluestein dimensions.
+// pooled path in both directions, including mixed smooth/Bluestein
+// dimensions.
 func TestTransformScratch2DMatches(t *testing.T) {
 	var s Scratch
-	for _, dims := range [][2]int{{16, 16}, {24, 24}, {16, 24}, {24, 16}} {
+	for _, dims := range [][2]int{{16, 16}, {24, 24}, {16, 24}, {24, 16}, {13, 24}, {24, 13}} {
 		w, h := dims[0], dims[1]
-		p := NewPlan2D(w, h, false)
+		p := NewPlan2D(w, h)
 		a := grid.NewComplex2DSize(w, h)
 		for i := range a.Data {
 			a.Data[i] = complex(float64(i%11)-5, float64(i%3)-1)
 		}
-		want := a.Clone()
-		p.Transform(want, Forward)
-		got := a.Clone()
-		p.TransformScratch(got, Forward, &s)
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("%dx%d: element %d differs: %v vs %v", w, h, i, want.Data[i], got.Data[i])
+		for _, dir := range []Direction{Forward, Inverse} {
+			want := a.Clone()
+			p.Transform(want, dir)
+			got := a.Clone()
+			p.TransformScratch(got, dir, &s)
+			for i := range want.Data {
+				if want.Data[i] != got.Data[i] {
+					t.Fatalf("%dx%d dir=%d: element %d differs: %v vs %v", w, h, dir, i, want.Data[i], got.Data[i])
+				}
 			}
 		}
 	}
 }
 
 // TestTransformScratchAllocationFree guards the arena invariant: once
-// warmed, transforms through a Scratch never touch the heap — for the
-// radix-2 kernel, the Bluestein kernel, and the 2-D sweep.
+// warmed, transforms through a Scratch never touch the heap — for a
+// smooth length (24), a power of 2 (32), a Bluestein length (13) and
+// the 2-D sweep.
 func TestTransformScratchAllocationFree(t *testing.T) {
 	var s Scratch
-	for _, n := range []int{24, 32} {
+	for _, n := range []int{13, 24, 32} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		p.TransformScratch(x, Forward, &s)
@@ -69,7 +73,7 @@ func TestTransformScratchAllocationFree(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("1-D n=%d: %v allocs per transform pair, want 0", n, got)
 		}
-		p2 := NewPlan2D(n, n, false)
+		p2 := NewPlan2D(n, n)
 		a := grid.NewComplex2DSize(n, n)
 		s.Warm(p2)
 		if got := testing.AllocsPerRun(50, func() {
@@ -85,7 +89,7 @@ func TestTransformScratchAllocationFree(t *testing.T) {
 // transform after warming is allocation-free.
 func TestScratchWarm(t *testing.T) {
 	var s Scratch
-	p2 := NewPlan2D(24, 48, false)
+	p2 := NewPlan2D(24, 48)
 	s.Warm(p2)
 	a := grid.NewComplex2DSize(24, 48)
 	if got := testing.AllocsPerRun(1, func() {

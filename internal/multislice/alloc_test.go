@@ -32,9 +32,10 @@ func benchEngine(n int) (*Engine, []*grid.Complex2D, []*grid.Complex2D, *grid.Fl
 
 // BenchmarkGradientKernel measures the per-probe-location gradient
 // kernel shared by all three reconstruction engines — the hot path the
-// paper's memory-efficiency argument rests on. Covers both FFT kernels:
-// n=24 exercises Bluestein (the paper's non-power-of-2 window sizes),
-// n=32 the radix-2 path.
+// paper's memory-efficiency argument rests on — at the two window sizes
+// the workloads use: n=24 (FFT radices 8·3) and n=32 (radices 8·4). The
+// sub-benchmark names predate the mixed-radix FFT, when n=24 ran on
+// Bluestein; they are kept so they match the recorded baselines.
 func BenchmarkGradientKernel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -54,7 +55,7 @@ func BenchmarkGradientKernel(b *testing.B) {
 
 // TestLossGradAllocationFree guards the tentpole invariant: after the
 // engine's scratch arena has warmed up, evaluating a probe location's
-// loss+gradient performs zero heap allocations, for both FFT kernels
+// loss+gradient performs zero heap allocations, at both window sizes
 // and for the probe-gradient variant used by joint refinement.
 func TestLossGradAllocationFree(t *testing.T) {
 	for _, n := range []int{24, 32} {

@@ -65,7 +65,7 @@ func NewEngine(probe, h *grid.Complex2D) *Engine {
 		n:     n,
 		probe: p,
 		h:     h,
-		plan:  fft.NewPlan2D(n, n, false),
+		plan:  fft.NewPlan2D(n, n),
 		fwork: grid.NewComplex2DSize(n, n),
 		bwork: grid.NewComplex2DSize(n, n),
 		twin:  grid.NewComplex2DSize(n, n),
@@ -162,16 +162,19 @@ func (e *Engine) Simulate(slices []*grid.Complex2D, win grid.Rect) *grid.Float2D
 // against the measured amplitude yAmp (n x n).
 func (e *Engine) Loss(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D) float64 {
 	d := e.forward(slices, win)
-	return amplitudeLoss(d, yAmp)
+	f, _ := amplitudeLoss(d, yAmp)
+	return f
 }
 
-func amplitudeLoss(d *grid.Complex2D, yAmp *grid.Float2D) float64 {
-	var f float64
+// amplitudeLoss returns sum_q (|y(q)| - |D(q)|)^2 and max_q |D(q)|.
+func amplitudeLoss(d *grid.Complex2D, yAmp *grid.Float2D) (f, dMax float64) {
 	for i, v := range d.Data {
-		r := yAmp.Data[i] - cmplx.Abs(v)
+		m := cmplx.Abs(v)
+		r := yAmp.Data[i] - m
 		f += r * r
+		dMax = max(dMax, m)
 	}
-	return f
+	return f, dMax
 }
 
 // LossGrad computes the loss at one probe location and ACCUMULATES the
@@ -204,14 +207,19 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 	}
 	s := len(slices)
 	d := e.forward(slices, win)
-	f := amplitudeLoss(d, yAmp)
+	f, dMax := amplitudeLoss(d, yAmp)
 
-	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|.
+	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|. Where the far field
+	// is FFT rounding noise (|D| <= 1e-12 max|D|: outside the probe
+	// aperture on a vacuum start) the phase D/|D| is noise too, so take
+	// phase 0 there; otherwise the gradient depends on the FFT's
+	// rounding wherever |y| > 0.
 	chi := e.bwork
+	floor := 1e-12 * dMax
 	for i, v := range d.Data {
 		m := cmplx.Abs(v)
-		if m < 1e-300 {
-			chi.Data[i] = 0
+		if m <= floor {
+			chi.Data[i] = complex(m-yAmp.Data[i], 0)
 			continue
 		}
 		chi.Data[i] = v * complex((m-yAmp.Data[i])/m, 0)

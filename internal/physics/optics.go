@@ -107,7 +107,7 @@ func (o Optics) Probe(n int) *grid.Complex2D {
 			a.Data[y*n+x] = cmplx.Exp(complex(0, -chi))
 		}
 	}
-	plan := fft.NewPlan2D(n, n, false)
+	plan := fft.NewPlan2D(n, n)
 	plan.Transform(a, fft.Inverse)
 	fft.Shift(a) // center the probe in real space
 	// Normalize total intensity to 1.

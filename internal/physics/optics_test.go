@@ -145,7 +145,7 @@ func TestPropagateEnergyConservation(t *testing.T) {
 	}
 	before := psi.Norm2()
 	h := FresnelPropagator(n, 10, 2.508, 125)
-	plan := fft.NewPlan2D(n, n, false)
+	plan := fft.NewPlan2D(n, n)
 	Propagate(psi, h, plan)
 	after := psi.Norm2()
 	if math.Abs(after-before) > 1e-9*before {
@@ -162,7 +162,7 @@ func TestPropagateAdjointIsInverse(t *testing.T) {
 	}
 	orig := psi.Clone()
 	h := FresnelPropagator(n, 10, 2.508, 125)
-	plan := fft.NewPlan2D(n, n, false)
+	plan := fft.NewPlan2D(n, n)
 	Propagate(psi, h, plan)
 	PropagateAdjoint(psi, h, plan)
 	if psi.MaxDiff(orig) > 1e-10 {
@@ -183,7 +183,7 @@ func TestPropagateAdjointInnerProduct(t *testing.T) {
 	}
 	a, b := newRand(), newRand()
 	h := FresnelPropagator(n, 10, 2.508, 125)
-	plan := fft.NewPlan2D(n, n, false)
+	plan := fft.NewPlan2D(n, n)
 
 	pa := a.Clone()
 	Propagate(pa, h, plan)
@@ -219,7 +219,7 @@ func TestProbeApertureCutoff(t *testing.T) {
 	n := 64
 	p := o.Probe(n)
 	fft.Unshift(p) // undo real-space centering
-	plan := fft.NewPlan2D(n, n, false)
+	plan := fft.NewPlan2D(n, n)
 	plan.Transform(p, fft.Forward)
 	lambda := o.Wavelength()
 	dk := 1.0 / (float64(n) * o.PixelSizePM)
