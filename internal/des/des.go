@@ -55,11 +55,11 @@ const (
 )
 
 type request struct {
-	kind  reqKind
-	dt    float64 // compute duration
-	src   int     // recv source
-	tag   int     // recv tag
-	chrg  int     // charge category for compute: 0 compute, 1 comm
+	kind reqKind
+	dt   float64 // compute duration
+	src  int     // recv source
+	tag  int     // recv tag
+	chrg int     // charge category for compute: 0 compute, 1 comm
 }
 
 type proc struct {

@@ -106,4 +106,3 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 		}
 	}
 }
-

@@ -350,10 +350,10 @@ type Job struct {
 	checkpointPath string
 	checkpointIter int
 	resumedFrom    string
-	recoveredFrom  string // how crash recovery revived this job ("checkpoint@k", "scratch", "stream")
-	datasetPath    string // durable spool of the dataset; lets Resume reload a released problem
-	recFrames      int    // frame count restored from the WAL for a terminal streaming job
-	recEOF         bool   // EOF flag restored from the WAL (ingest is gone for terminal jobs)
+	recoveredFrom  string  // how crash recovery revived this job ("checkpoint@k", "scratch", "stream")
+	datasetPath    string  // durable spool of the dataset; lets Resume reload a released problem
+	recFrames      int     // frame count restored from the WAL for a terminal streaming job
+	recEOF         bool    // EOF flag restored from the WAL (ingest is gone for terminal jobs)
 	actualSeconds  float64 // wall-clock runtime measured by analyze
 	predErrRatio   float64 // actual / predicted runtime
 	imbalance      float64 // mean per-iteration max/mean rank compute ratio
@@ -508,27 +508,27 @@ func (j *Job) Info(historyTail int) Info {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	info := Info{
-		ID:             j.id,
-		State:          j.state.String(),
-		Algorithm:      j.params.Algorithm,
-		Grid:           j.params.Grid,
-		Iter:           j.iter,
-		Cost:           j.cost,
-		CheckpointIter: j.checkpointIter,
-		Checkpoint:     j.checkpointPath,
-		ResumedFrom:    j.resumedFrom,
-		RecoveredFrom:  j.recoveredFrom,
-		RequestID:      j.params.RequestID,
-		Tenant:         j.params.Tenant,
-		Priority:       j.params.Priority,
-		PreemptedCount: j.preemptedCount,
-		Created:        j.created,
-		Started:        j.started,
-		Finished:       j.finished,
-		Prediction:     j.pred,
-		ActualSeconds:  j.actualSeconds,
+		ID:                   j.id,
+		State:                j.state.String(),
+		Algorithm:            j.params.Algorithm,
+		Grid:                 j.params.Grid,
+		Iter:                 j.iter,
+		Cost:                 j.cost,
+		CheckpointIter:       j.checkpointIter,
+		Checkpoint:           j.checkpointPath,
+		ResumedFrom:          j.resumedFrom,
+		RecoveredFrom:        j.recoveredFrom,
+		RequestID:            j.params.RequestID,
+		Tenant:               j.params.Tenant,
+		Priority:             j.params.Priority,
+		PreemptedCount:       j.preemptedCount,
+		Created:              j.created,
+		Started:              j.started,
+		Finished:             j.finished,
+		Prediction:           j.pred,
+		ActualSeconds:        j.actualSeconds,
 		PredictionErrorRatio: j.predErrRatio,
-		ImbalanceRatio: j.imbalance,
+		ImbalanceRatio:       j.imbalance,
 	}
 	if len(j.stragglers) > 0 {
 		info.StragglerRanks = append([]int(nil), j.stragglers...)

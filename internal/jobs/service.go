@@ -139,18 +139,18 @@ type Service struct {
 	// without a prediction (see tenancy.go).
 	runtime runtimeEstimate
 
-	mu     sync.Mutex
-	notify *sync.Cond  // signals workers: queue non-empty or closing
-	q      sched.Queue // bounded queue; ordering policy per Config.Sched
-	seq    uint64      // scheduler sequence — submission-order tie-break
-	jobs   map[string]*Job
-	order  []string                // submission order, for List/ListPage
-	idem   map[string]*Job         // Idempotency-Key → the job it created
-	running map[string]*Job        // jobs currently on a worker (preemption victims, retry estimates)
-	tenants map[string]*tenantState // fair-share accounting, keyed by tenant name
-	tenantOrder []string            // first-seen order; bounds the metric registry
-	nextID int
-	closed bool
+	mu          sync.Mutex
+	notify      *sync.Cond  // signals workers: queue non-empty or closing
+	q           sched.Queue // bounded queue; ordering policy per Config.Sched
+	seq         uint64      // scheduler sequence — submission-order tie-break
+	jobs        map[string]*Job
+	order       []string                // submission order, for List/ListPage
+	idem        map[string]*Job         // Idempotency-Key → the job it created
+	running     map[string]*Job         // jobs currently on a worker (preemption victims, retry estimates)
+	tenants     map[string]*tenantState // fair-share accounting, keyed by tenant name
+	tenantOrder []string                // first-seen order; bounds the metric registry
+	nextID      int
+	closed      bool
 }
 
 // NewService validates the config, creates the spool directory,

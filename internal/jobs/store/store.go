@@ -198,19 +198,19 @@ var _ Store = Mem{}
 func (Mem) Durable() bool               { return false }
 func (Mem) Recover() (*Recovery, error) { return &Recovery{}, nil }
 
-func (Mem) LogSubmit(SubmitRecord) error                { return nil }
-func (Mem) LogStart(string, time.Time) error            { return nil }
-func (Mem) LogIteration(string, int, float64) error     { return nil }
-func (Mem) LogCheckpoint(string, string, int) error     { return nil }
-func (Mem) LogFrames(string, int) error                 { return nil }
-func (Mem) LogEOF(string) error                         { return nil }
+func (Mem) LogSubmit(SubmitRecord) error                      { return nil }
+func (Mem) LogStart(string, time.Time) error                  { return nil }
+func (Mem) LogIteration(string, int, float64) error           { return nil }
+func (Mem) LogCheckpoint(string, string, int) error           { return nil }
+func (Mem) LogFrames(string, int) error                       { return nil }
+func (Mem) LogEOF(string) error                               { return nil }
 func (Mem) LogFinish(string, string, string, time.Time) error { return nil }
 
-func (Mem) SpoolDataset(string, *solver.Problem) (string, error)        { return "", nil }
-func (Mem) SpoolInitObject(string, []*grid.Complex2D) (string, error)   { return "", nil }
+func (Mem) SpoolDataset(string, *solver.Problem) (string, error)         { return "", nil }
+func (Mem) SpoolInitObject(string, []*grid.Complex2D) (string, error)    { return "", nil }
 func (Mem) SpoolStreamOpen(string, *dataio.StreamHeader) (string, error) { return "", nil }
-func (Mem) SpoolFrames(string, int, []dataio.Frame) error               { return nil }
-func (Mem) SpoolStreamEOF(string) error                                 { return nil }
+func (Mem) SpoolFrames(string, int, []dataio.Frame) error                { return nil }
+func (Mem) SpoolStreamEOF(string) error                                  { return nil }
 
 func (Mem) LoadDataset(path string) (*solver.Problem, error)  { return dataio.ReadFile(path) }
 func (Mem) LoadObject(path string) ([]*grid.Complex2D, error) { return dataio.ReadObjectFile(path) }

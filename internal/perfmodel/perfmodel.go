@@ -75,13 +75,13 @@ type Row struct {
 
 // geometry captures the derived per-GPU decomposition quantities.
 type geometry struct {
-	rows, cols     int
-	tileW, tileH   float64 // interior tile, pixels
-	extW, extH     float64 // halo-extended tile, pixels
-	haloPx         float64
-	locsPerGPU     float64
-	scanTileW      float64 // probe locations per tile row
-	scanTileH      float64
+	rows, cols   int
+	tileW, tileH float64 // interior tile, pixels
+	extW, extH   float64 // halo-extended tile, pixels
+	haloPx       float64
+	locsPerGPU   float64
+	scanTileW    float64 // probe locations per tile row
+	scanTileH    float64
 }
 
 func (c Config) geom(gpus int, haloPM float64) geometry {

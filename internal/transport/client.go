@@ -39,13 +39,13 @@ type Client struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	mu       sync.Mutex
-	signal   chan struct{} // pulsed on every state change; single waiter
-	inbox    []message
-	setups   []*Setup
-	barriers int     // pending barrier releases
-	reduces  []float64
-	snapAcks []error
+	mu            sync.Mutex
+	signal        chan struct{} // pulsed on every state change; single waiter
+	inbox         []message
+	setups        []*Setup
+	barriers      int // pending barrier releases
+	reduces       []float64
+	snapAcks      []error
 	fatal         error  // connection dead — permanent
 	sessErr       error  // current session aborted — cleared on the next SETUP
 	onCancel      func() // session cancel hook (frameCancel)
