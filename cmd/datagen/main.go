@@ -13,7 +13,7 @@
 // generating one. With -stream, the output is a PTYCHS stream
 // (opening + CRC-framed chunks of -chunk frames + EOF marker) instead
 // of a PTYCHOv1 batch container — the input format of the streaming
-// endpoints and a ready-made body for POST /jobs/stream (see
+// endpoints and a ready-made dataset part for POST /v1/jobs/stream (see
 // docs/FORMATS.md and docs/HTTP_API.md).
 package main
 

@@ -10,7 +10,7 @@
 // The paper-scale experiments use this engine to replay the Gradient
 // Decomposition and Halo Voxel Exchange schedules on a simulated Summit
 // (4158 GPUs) that obviously cannot be reproduced physically — the
-// substitution DESIGN.md documents.
+// substitution ARCHITECTURE.md's package ↔ paper map documents.
 package des
 
 import (

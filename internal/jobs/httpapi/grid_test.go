@@ -16,9 +16,9 @@ import (
 )
 
 // TestGridEndpointAndSubmit exercises the distributed path end to end
-// over HTTP: GET /grid reports the registered workers, POST
-// /jobs?alg=gd&grid=1 runs the reconstruction across them, and the job
-// completes with the same observable lifecycle as a local one.
+// over HTTP: GET /v1/grid reports the registered workers, a POST
+// /v1/jobs with "grid": true runs the reconstruction across them, and
+// the job completes with the same observable lifecycle as a local one.
 func TestGridEndpointAndSubmit(t *testing.T) {
 	svc, err := jobs.NewService(jobs.Config{
 		Workers: 1, QueueDepth: 4, SpoolDir: t.TempDir(), CheckpointEvery: 2,
@@ -33,14 +33,14 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 		svc.Close()
 	})
 
-	// No workers yet: /grid reports an enabled, empty pool.
+	// No workers yet: /v1/grid reports an enabled, empty pool.
 	var grid struct {
 		Enabled bool                  `json:"enabled"`
 		Addr    string                `json:"addr"`
 		Workers []jobs.GridWorkerInfo `json:"workers"`
 		Idle    int                   `json:"idle"`
 	}
-	getJSON(t, ts.URL+"/grid", &grid)
+	getJSON(t, ts.URL+"/v1/grid", &grid)
 	if !grid.Enabled || grid.Addr == "" || len(grid.Workers) != 0 {
 		t.Fatalf("empty grid: %+v", grid)
 	}
@@ -52,7 +52,7 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		getJSON(t, ts.URL+"/grid", &grid)
+		getJSON(t, ts.URL+"/v1/grid", &grid)
 		if grid.Idle == 4 {
 			break
 		}
@@ -66,8 +66,8 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	if err := dataio.Write(&buf, testProblem(t)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/jobs?alg=gd&grid=1&iters=4&mesh=2x2&checkpoint-every=2",
-		"application/octet-stream", &buf)
+	body, ct := multipartSubmit(t, `{"algorithm":"gd","grid":true,"iterations":4,"mesh_rows":2,"mesh_cols":2,"checkpoint_every":2}`, buf.Bytes())
+	resp, err := http.Post(ts.URL+"/v1/jobs", ct, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	deadline = time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && info.State != "done" && info.State != "failed" {
 		time.Sleep(10 * time.Millisecond)
-		getJSON(t, ts.URL+"/jobs/"+info.ID, &info)
+		getJSON(t, ts.URL+"/v1/jobs/"+info.ID, &info)
 	}
 	if info.State != "done" {
 		t.Fatalf("grid job ended %q (error %q)", info.State, info.Error)

@@ -56,11 +56,6 @@
 // timeline, its structured log lines, and the PTGW SETUP frame sent to
 // grid workers (see obs.go).
 //
-// The pre-/v1 routes (POST /jobs with query-string parameters, GET
-// /jobs returning the unpaged array, …) remain mounted as thin aliases
-// for one release; they answer with a Deprecation header pointing at
-// /v1 and will be removed next release.
-//
 // The complete reference with copy-pasteable curl examples (smoke-run
 // by CI) lives in docs/HTTP_API.md.
 package httpapi
@@ -74,7 +69,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"ptychopath"
@@ -96,11 +90,6 @@ const (
 	defaultPageLimit = 100
 	maxPageLimit     = 1000
 )
-
-// legacyDeprecation is the Deprecation header (RFC 9745) served on the
-// pre-/v1 alias routes: the @unix-time this API generation was
-// deprecated in favor of /v1.
-const legacyDeprecation = "@1785110400" // 2026-07-27
 
 // Server adapts a jobs.Service to HTTP.
 type Server struct {
@@ -152,60 +141,31 @@ func New(svc *jobs.Service, opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the route mux: the /v1 surface, the deprecated
-// unversioned aliases, and the unversioned infrastructure endpoints.
+// Handler returns the route mux: the /v1 surface and the unversioned
+// infrastructure endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmitV1)
 	mux.HandleFunc("POST /v1/jobs/stream", s.handleSubmitStreamV1)
 	mux.HandleFunc("GET /v1/jobs", s.handleListV1)
-	// /v1-only (no legacy alias): the span timeline, debug bundle and
-	// status rollup did not exist before the versioned surface.
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
+	mux.HandleFunc("POST /v1/jobs/{id}/frames", s.handleFrames)
+	mux.HandleFunc("POST /v1/jobs/{id}/eof", s.handleEOF)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("POST /v1/jobs/{id}/resume", s.handleResume)
+	mux.HandleFunc("GET /v1/jobs/{id}/preview.png", s.handlePreview)
+	mux.HandleFunc("GET /v1/jobs/{id}/object", s.handleObject)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/jobs/{id}/debug", s.handleDebug)
+	mux.HandleFunc("GET /v1/grid", s.handleGrid)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-
-	// Routes identical across generations: register under /v1 and as a
-	// deprecated alias.
-	shared := map[string]http.HandlerFunc{
-		"GET /jobs/{id}":             s.handleGet,
-		"POST /jobs/{id}/frames":     s.handleFrames,
-		"POST /jobs/{id}/eof":        s.handleEOF,
-		"GET /jobs/{id}/events":      s.handleEvents,
-		"POST /jobs/{id}/cancel":     s.handleCancel,
-		"POST /jobs/{id}/resume":     s.handleResume,
-		"GET /jobs/{id}/preview.png": s.handlePreview,
-		"GET /jobs/{id}/object":      s.handleObject,
-		"GET /grid":                  s.handleGrid,
-	}
-	for pattern, h := range shared {
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, deprecated(h))
-	}
-	// Legacy submit and list keep their historical request shapes
-	// (query-string parameters, raw dataset body, unpaged array).
-	mux.HandleFunc("POST /jobs", deprecated(s.handleSubmitLegacy))
-	mux.HandleFunc("POST /jobs/stream", deprecated(s.handleSubmitStreamLegacy))
-	mux.HandleFunc("GET /jobs", deprecated(s.handleListLegacy))
-
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	return s.observe(mux)
-}
-
-// deprecated marks a legacy alias response: RFC 9745 Deprecation plus
-// a pointer at the successor surface.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", legacyDeprecation)
-		w.Header().Set("Link", `</v1>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // httpError carries a status and problem code decided at the call
@@ -316,7 +276,6 @@ func problemFor(err error) client.Problem {
 		Code:         code,
 		Detail:       err.Error(),
 		RetryAfterMS: retryMS,
-		LegacyError:  err.Error(),
 	}
 }
 
@@ -423,18 +382,6 @@ func queryInt(r *http.Request, key string, def int) (int, error) {
 		return 0, badParams("parameter %s: %v", key, err)
 	}
 	return n, nil
-}
-
-func queryFloat(r *http.Request, key string, def float64) (float64, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, badParams("parameter %s: %v", key, err)
-	}
-	return f, nil
 }
 
 // paramsFromRequest maps the wire-contract SubmitRequest onto the
@@ -579,109 +526,6 @@ func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, client.JobPage{Jobs: wireJobs(infos), NextCursor: next})
 }
-
-// --- legacy (pre-/v1) submission and listing -------------------------
-
-func parseParams(r *http.Request) (jobs.Params, error) {
-	var p jobs.Params
-	var err error
-	p.Algorithm = r.URL.Query().Get("alg")
-	if p.Iterations, err = queryInt(r, "iters", 0); err != nil {
-		return p, err
-	}
-	if p.StepSize, err = queryFloat(r, "step", 0); err != nil {
-		return p, err
-	}
-	if p.RoundsPerIteration, err = queryInt(r, "rounds", 0); err != nil {
-		return p, err
-	}
-	if p.IntraWorkers, err = queryInt(r, "workers", 0); err != nil {
-		return p, err
-	}
-	if p.CheckpointEvery, err = queryInt(r, "checkpoint-every", 0); err != nil {
-		return p, err
-	}
-	if g := r.URL.Query().Get("grid"); g != "" {
-		on, err := strconv.ParseBool(g)
-		if err != nil {
-			return p, badParams("parameter grid: %v", err)
-		}
-		p.Grid = on
-	}
-	if mesh := r.URL.Query().Get("mesh"); mesh != "" {
-		rows, cols, ok := strings.Cut(strings.ToLower(mesh), "x")
-		if !ok {
-			return p, badParams("parameter mesh %q: want ROWSxCOLS", mesh)
-		}
-		if p.MeshRows, err = strconv.Atoi(rows); err != nil {
-			return p, badParams("parameter mesh %q: %v", mesh, err)
-		}
-		if p.MeshCols, err = strconv.Atoi(cols); err != nil {
-			return p, badParams("parameter mesh %q: %v", mesh, err)
-		}
-	}
-	return p, nil
-}
-
-func (s *Server) handleSubmitLegacy(w http.ResponseWriter, r *http.Request) {
-	params, err := parseParams(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	prob, err := dataio.Read(http.MaxBytesReader(w, r.Body, s.maxUpload))
-	if err != nil {
-		writeErr(w, badParams("decoding PTYCHOv1 body: %w", err))
-		return
-	}
-	params.RequestID = requestIDFrom(r.Context())
-	params.Tenant = tenantFrom(r)
-	j, err := s.svc.Submit(prob, params)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, wireJob(j.Info(0)))
-}
-
-func (s *Server) handleSubmitStreamLegacy(w http.ResponseWriter, r *http.Request) {
-	params, err := parseParams(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if params.FoldEvery, err = queryInt(r, "fold-every", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if params.MaxIterations, err = queryInt(r, "max-iters", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if params.IngestCapacity, err = queryInt(r, "ingest", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
-	hdr, err := dataio.ReadStreamHeader(http.MaxBytesReader(w, r.Body, s.maxUpload))
-	if err != nil {
-		writeErr(w, badParams("decoding PTYCHS opening: %w", err))
-		return
-	}
-	params.RequestID = requestIDFrom(r.Context())
-	params.Tenant = tenantFrom(r)
-	j, err := s.svc.SubmitStreaming(hdr, params)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, wireJob(j.Info(0)))
-}
-
-func (s *Server) handleListLegacy(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, wireJobs(s.svc.List()))
-}
-
-// --- shared handlers -------------------------------------------------
 
 // handleFrames ingests one PTYCHS chunk. An 'F' chunk appends
 // frames (429 ingest_full when the bounded ingest is full — retry the

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/jobs"
 	"ptychopath/internal/phantom"
@@ -50,7 +51,8 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Service) {
 	ts := httptest.NewServer(New(svc).Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		for _, info := range svc.List() {
+		all, _, _ := svc.ListPage(jobs.ListOptions{})
+		for _, info := range all {
 			if info.State == "queued" || info.State == "running" {
 				svc.Cancel(info.ID)
 			}
@@ -77,7 +79,20 @@ func getJSON(t *testing.T, url string, v any) int {
 
 func postJSON(t *testing.T, url string, body io.Reader, v any) int {
 	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", body)
+	return post(t, url, "application/octet-stream", body, v)
+}
+
+// postSubmit posts a /v1 multipart submission (a params JSON part, if
+// any, and a dataset part) and decodes a 2xx response into v.
+func postSubmit(t *testing.T, url, params string, dataset []byte, v any) int {
+	t.Helper()
+	body, ct := multipartSubmit(t, params, dataset)
+	return post(t, url, ct, body, v)
+}
+
+func post(t *testing.T, url, contentType string, body io.Reader, v any) int {
+	t.Helper()
+	resp, err := http.Post(url, contentType, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +122,16 @@ func TestEndToEndCancelResume(t *testing.T) {
 	const step = 0.01
 
 	var info jobs.Info
-	status := postJSON(t, fmt.Sprintf("%s/jobs?alg=serial&iters=%d&step=%g&checkpoint-every=2", ts.URL, total, step),
-		bytes.NewReader(upload.Bytes()), &info)
+	status := postSubmit(t, ts.URL+"/v1/jobs",
+		fmt.Sprintf(`{"algorithm":"serial","iterations":%d,"step_size":%g,"checkpoint_every":2}`, total, step),
+		upload.Bytes(), &info)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d", status)
 	}
 	if info.State != "queued" && info.State != "running" {
 		t.Fatalf("submitted job state %q", info.State)
 	}
-	jobURL := ts.URL + "/jobs/" + info.ID
+	jobURL := ts.URL + "/v1/jobs/" + info.ID
 
 	// Poll until mid-run, asserting the iteration counter is monotone.
 	last := -1
@@ -185,7 +201,7 @@ func TestEndToEndCancelResume(t *testing.T) {
 	if resumed.ResumedFrom != info.ID {
 		t.Fatalf("resumed_from %q, want %q", resumed.ResumedFrom, info.ID)
 	}
-	resumedURL := ts.URL + "/jobs/" + resumed.ID
+	resumedURL := ts.URL + "/v1/jobs/" + resumed.ID
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("resumed job never finished")
@@ -255,37 +271,30 @@ func TestHTTPValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Garbage upload is a 400.
-	if st := postJSON(t, ts.URL+"/jobs", strings.NewReader("not a dataset"), nil); st != http.StatusBadRequest {
+	if st := postSubmit(t, ts.URL+"/v1/jobs", "", []byte("not a dataset"), nil); st != http.StatusBadRequest {
 		t.Errorf("garbage upload: status %d, want 400", st)
 	}
 	// Unknown job is a 404 everywhere.
-	for _, url := range []string{"/jobs/job-9999", "/jobs/job-9999/preview.png", "/jobs/job-9999/object"} {
+	for _, url := range []string{"/v1/jobs/job-9999", "/v1/jobs/job-9999/preview.png", "/v1/jobs/job-9999/object"} {
 		if st := getJSON(t, ts.URL+url, nil); st != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", url, st)
 		}
 	}
-	if st := postJSON(t, ts.URL+"/jobs/job-9999/cancel", nil, nil); st != http.StatusNotFound {
+	if st := postJSON(t, ts.URL+"/v1/jobs/job-9999/cancel", nil, nil); st != http.StatusNotFound {
 		t.Errorf("cancel unknown: status %d, want 404", st)
 	}
-	// Bad parameters are 400s.
+	// Semantically invalid parameters (decode fine, fail validation)
+	// are client errors, not 500s.
 	prob := testProblem(t)
 	var upload bytes.Buffer
 	if err := dataio.Write(&upload, prob); err != nil {
 		t.Fatal(err)
 	}
-	if st := postJSON(t, ts.URL+"/jobs?iters=abc", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("iters=abc: status %d, want 400", st)
+	if st := postSubmit(t, ts.URL+"/v1/jobs", `{"algorithm":"foo"}`, upload.Bytes(), nil); st != http.StatusBadRequest {
+		t.Errorf("algorithm foo: status %d, want 400", st)
 	}
-	if st := postJSON(t, ts.URL+"/jobs?mesh=2by2", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("mesh=2by2: status %d, want 400", st)
-	}
-	// Semantically invalid parameters (parse fine, fail validation) are
-	// client errors too, not 500s.
-	if st := postJSON(t, ts.URL+"/jobs?alg=foo", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("alg=foo: status %d, want 400", st)
-	}
-	if st := postJSON(t, ts.URL+"/jobs?iters=-5", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("iters=-5: status %d, want 400", st)
+	if st := postSubmit(t, ts.URL+"/v1/jobs", `{"iterations":-5}`, upload.Bytes(), nil); st != http.StatusBadRequest {
+		t.Errorf("iterations -5: status %d, want 400", st)
 	}
 	// A healthy server says so.
 	if st := getJSON(t, ts.URL+"/healthz", nil); st != http.StatusOK {
@@ -294,7 +303,7 @@ func TestHTTPValidation(t *testing.T) {
 
 	// A real submission with a gd mesh runs to completion.
 	var info jobs.Info
-	if st := postJSON(t, ts.URL+"/jobs?alg=gd&iters=3&mesh=2x2", bytes.NewReader(upload.Bytes()), &info); st != http.StatusAccepted {
+	if st := postSubmit(t, ts.URL+"/v1/jobs", `{"algorithm":"gd","iterations":3,"mesh_rows":2,"mesh_cols":2}`, upload.Bytes(), &info); st != http.StatusAccepted {
 		t.Fatalf("gd submit: status %d", st)
 	}
 	deadline := time.Now().Add(60 * time.Second)
@@ -303,7 +312,7 @@ func TestHTTPValidation(t *testing.T) {
 			t.Fatal("gd job never finished")
 		}
 		var cur jobs.Info
-		getJSON(t, ts.URL+"/jobs/"+info.ID, &cur)
+		getJSON(t, ts.URL+"/v1/jobs/"+info.ID, &cur)
 		if cur.State == "done" {
 			break
 		}
@@ -312,12 +321,40 @@ func TestHTTPValidation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// List shows both jobs.
-	var list []jobs.Info
-	if st := getJSON(t, ts.URL+"/jobs", &list); st != http.StatusOK || len(list) != 1 {
-		// one job: the garbage/param failures never got registered
-		if len(list) != 1 {
-			t.Errorf("list has %d jobs, want 1", len(list))
+	// The list holds one job: the garbage/param failures never got
+	// registered.
+	var page client.JobPage
+	if st := getJSON(t, ts.URL+"/v1/jobs", &page); st != http.StatusOK || len(page.Jobs) != 1 {
+		t.Errorf("list: status %d with %d jobs, want 200 with 1", st, len(page.Jobs))
+	}
+
+	// The unversioned job and grid routes are gone: the mux answers 404
+	// and the request histogram files them under route="unmatched".
+	for _, r := range []struct{ method, path string }{
+		{http.MethodGet, "/jobs"},
+		{http.MethodPost, "/jobs"},
+		{http.MethodGet, "/jobs/" + info.ID},
+		{http.MethodGet, "/grid"},
+	} {
+		req, _ := http.NewRequest(r.method, ts.URL+r.path, bytes.NewReader(upload.Bytes()))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", r.method, r.path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := `ptychoserve_http_request_duration_seconds_count{route="unmatched",status="404"} 4`
+	if !strings.Contains(string(metrics), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }

@@ -187,8 +187,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 // TestTraceEndpoint pins the trace endpoint's three formats: the typed
 // JSON timeline, the Chrome trace-event export, and the bad_params
-// rejection of anything else. The legacy unversioned surface never had
-// the route.
+// rejection of anything else. The route exists only under /v1.
 func TestTraceEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var upload bytes.Buffer
@@ -256,7 +255,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("unknown format: status %d, want 400", status)
 	}
 	if status := getJSON(t, ts.URL+"/jobs/"+job.ID+"/trace", nil); status != http.StatusNotFound {
-		t.Fatalf("legacy trace route: status %d, want 404 (v1-only)", status)
+		t.Fatalf("unversioned trace route: status %d, want 404 (v1-only)", status)
 	}
 	if status := getJSON(t, ts.URL+"/v1/jobs/absent/trace", nil); status != http.StatusNotFound {
 		t.Fatalf("missing job trace: status %d, want 404", status)

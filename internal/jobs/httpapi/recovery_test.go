@@ -126,8 +126,8 @@ func TestV1IdempotencyAcrossRestart(t *testing.T) {
 	if second.RecoveredFrom == "" {
 		t.Error("recovered job missing recovered_from on the wire")
 	}
-	if n := len(svc2.List()); n != 1 {
-		t.Fatalf("registry holds %d jobs after the retry, want 1", n)
+	if all, _, _ := svc2.ListPage(jobs.ListOptions{}); len(all) != 1 {
+		t.Fatalf("registry holds %d jobs after the retry, want 1", len(all))
 	}
 
 	fin := pollInfo(t, ts2.URL+"/v1/jobs/"+first.ID, "recovered job done", func(i jobs.Info) bool { return i.State == "done" })

@@ -114,11 +114,11 @@ func TestStatusAndDebugEndpoints(t *testing.T) {
 	if _, err := c.Debug(ctx, "no-such-job"); !errors.Is(err, client.ErrNotFound) {
 		t.Errorf("debug of a missing job: %v, want ErrNotFound", err)
 	}
-	// Both endpoints are /v1-only: no deprecated alias.
+	// Both endpoints are /v1-only: no unversioned alias.
 	if status := getJSON(t, ts.URL+"/status", nil); status != http.StatusNotFound {
-		t.Errorf("legacy /status: %d, want 404", status)
+		t.Errorf("unversioned /status: %d, want 404", status)
 	}
 	if status := getJSON(t, ts.URL+"/jobs/"+job.ID+"/debug", nil); status != http.StatusNotFound {
-		t.Errorf("legacy debug route: %d, want 404", status)
+		t.Errorf("unversioned debug route: %d, want 404", status)
 	}
 }

@@ -69,8 +69,8 @@ func TestProblemForTable(t *testing.T) {
 			if p.Title == "" {
 				t.Fatalf("code %s has no title", p.Code)
 			}
-			if p.Detail == "" || p.LegacyError != p.Detail {
-				t.Fatalf("detail %q / legacy error %q must both carry the message", p.Detail, p.LegacyError)
+			if p.Detail == "" {
+				t.Fatalf("detail must carry the message of %v", tc.err)
 			}
 		})
 	}
@@ -245,7 +245,7 @@ func TestV1EnvelopeOverTheWire(t *testing.T) {
 
 // TestV1MaxUploadPayloadTooLarge: a body beyond WithMaxUpload answers
 // 413 with the payload_too_large code instead of resetting the
-// connection, on both submission generations.
+// connection.
 func TestV1MaxUploadPayloadTooLarge(t *testing.T) {
 	svc, err := jobs.NewService(jobs.Config{Workers: 1, QueueDepth: 4, SpoolDir: t.TempDir()})
 	if err != nil {
@@ -272,15 +272,6 @@ func TestV1MaxUploadPayloadTooLarge(t *testing.T) {
 	p := decodeProblem(t, resp)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || p.Code != client.CodePayloadTooLarge {
 		t.Fatalf("v1 oversized submit: %d/%s, want 413/%s", resp.StatusCode, p.Code, client.CodePayloadTooLarge)
-	}
-
-	resp, err = http.Post(ts.URL+"/jobs", "application/octet-stream", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p = decodeProblem(t, resp)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || p.Code != client.CodePayloadTooLarge {
-		t.Fatalf("legacy oversized submit: %d/%s, want 413/%s", resp.StatusCode, p.Code, client.CodePayloadTooLarge)
 	}
 }
 
@@ -473,41 +464,7 @@ func TestV1IdempotentSubmitRace(t *testing.T) {
 	if fresh != 1 {
 		t.Fatalf("%d responses claim a fresh enqueue, want exactly 1", fresh)
 	}
-	if n := len(svc.List()); n != 1 {
-		t.Fatalf("registry holds %d jobs, want 1", n)
-	}
-}
-
-// TestLegacyAliasDeprecation: the pre-/v1 routes still serve, but are
-// marked deprecated; the /v1 routes are not.
-func TestLegacyAliasDeprecation(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy list: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("legacy route without a Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy route Link %q does not point at the successor version", link)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 list: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
+	if all, _, _ := svc.ListPage(jobs.ListOptions{}); len(all) != 1 {
+		t.Fatalf("registry holds %d jobs, want 1", len(all))
 	}
 }

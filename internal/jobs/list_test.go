@@ -103,7 +103,7 @@ func TestListPagePagination(t *testing.T) {
 		t.Fatalf("done filter: %d jobs, next %q; want none", len(page), next)
 	}
 
-	// Unfiltered, unbounded: identical to List.
+	// Unfiltered, unbounded: every job, in submit order, on one page.
 	all, next, err := s.ListPage(ListOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +111,13 @@ func TestListPagePagination(t *testing.T) {
 	if next != "" {
 		t.Fatalf("unbounded page still has a cursor %q", next)
 	}
-	if len(all) != len(s.List()) {
-		t.Fatalf("ListPage returned %d, List %d", len(all), len(s.List()))
+	if len(all) != len(ids) {
+		t.Fatalf("unbounded ListPage returned %d jobs, want %d", len(all), len(ids))
+	}
+	for i, id := range ids {
+		if all[i].ID != id {
+			t.Fatalf("unbounded order[%d] = %s, want %s", i, all[i].ID, id)
+		}
 	}
 }
 
@@ -156,8 +161,8 @@ func TestSubmitIdempotentRace(t *testing.T) {
 	if creations != 1 {
 		t.Fatalf("%d submissions claim to have created the job, want exactly 1", creations)
 	}
-	if n := len(s.List()); n != 1 {
-		t.Fatalf("registry holds %d jobs, want 1", n)
+	if all, _, _ := s.ListPage(ListOptions{}); len(all) != 1 {
+		t.Fatalf("registry holds %d jobs, want 1", len(all))
 	}
 
 	// A different key is a different job.
@@ -200,7 +205,8 @@ func TestSubmitIdempotentKeyFreeOnReject(t *testing.T) {
 	}
 
 	// Free the queue slot, retry the same key: it must enqueue.
-	for _, info := range s.List() {
+	all, _, _ := s.ListPage(ListOptions{})
+	for _, info := range all {
 		s.Cancel(info.ID)
 	}
 	j, created, err := s.SubmitWithKey(prob, Params{Algorithm: "serial", Iterations: 1}, "key-after-full")

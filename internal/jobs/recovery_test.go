@@ -562,8 +562,8 @@ func TestIdempotencyAfterCrash(t *testing.T) {
 			t.Fatalf("replayed submit returned %s, want original %s", got, id)
 		}
 	}
-	if n := len(l2.svc.List()); n != 1 {
-		t.Fatalf("registry holds %d jobs after replayed retries, want 1", n)
+	if all, _, _ := l2.svc.ListPage(ListOptions{}); len(all) != 1 {
+		t.Fatalf("registry holds %d jobs after replayed retries, want 1", len(all))
 	}
 	// A different key is a different acquisition: it enqueues.
 	j2, created, err := l2.svc.SubmitWithKey(prob, Params{Algorithm: "serial", Iterations: 2}, key+"-next")

@@ -659,22 +659,6 @@ func (s *Service) ListPage(opts ListOptions) ([]Info, string, error) {
 	return page, next, nil
 }
 
-// List returns a summary of every job in submission order.
-func (s *Service) List() []Info {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, len(ids))
-	for i, id := range ids {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	out := make([]Info, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Info(0)
-	}
-	return out
-}
-
 // Cancel cancels a job: a queued job transitions to Cancelled
 // immediately (and frees its queue slot); a running job is interrupted
 // at its next iteration boundary (the worker writes a final checkpoint

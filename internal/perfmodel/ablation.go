@@ -1,6 +1,6 @@
 package perfmodel
 
-// Ablations for the design choices DESIGN.md calls out: the Gradient
+// Ablations for the design choices ARCHITECTURE.md maps: the Gradient
 // Decomposition halo width (memory/communication trade-off) and the
 // Halo Voxel Exchange redundant-row count (compute/quality trade-off).
 

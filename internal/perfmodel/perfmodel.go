@@ -7,8 +7,8 @@
 // Runtimes come from replaying each algorithm's communication schedule
 // on the discrete-event simulator (internal/des) with compute times from
 // the calibrated model in internal/cluster; memory footprints come from
-// the analytic accounting below. DESIGN.md and EXPERIMENTS.md document
-// the calibration and the paper-vs-model deviations.
+// the analytic accounting below. ARCHITECTURE.md (package ↔ paper
+// map) places the calibration in internal/cluster.
 package perfmodel
 
 import (

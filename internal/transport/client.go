@@ -28,7 +28,6 @@ type Client struct {
 	name    string
 	id      int
 	timeout time.Duration
-	gen     wire.Gen // checksum generation negotiated at handshake
 
 	// wmu serializes frame writes. Outgoing frames are batched into
 	// wbuf — small collective and progress frames coalesce into one
@@ -102,8 +101,8 @@ func newClient(conn net.Conn, opts DialOptions) (*Client, error) {
 		signal:  make(chan struct{}, 1),
 	}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	// HELLO is always legacy-framed so a hub of any generation can
-	// parse it and refuse with a proper version error.
+	// HELLO is IEEE-framed so a hub of any generation can parse it and
+	// refuse with a proper version error.
 	hello := append(uint32le(ProtoVersion), []byte(opts.Name)...)
 	if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
 		return nil, fmt.Errorf("transport: handshake send: %w", err)
@@ -117,16 +116,8 @@ func newClient(conn net.Conn, opts DialOptions) (*Client, error) {
 		if len(fr.payload) < 8 {
 			return nil, fmt.Errorf("%w: short welcome", ErrFrameCorrupt)
 		}
-		v := le32(fr.payload)
-		if v < MinProtoVersion || v > ProtoVersion {
+		if v := le32(fr.payload); v != ProtoVersion {
 			return nil, fmt.Errorf("%w: hub speaks v%d, client v%d", ErrVersionMismatch, v, ProtoVersion)
-		}
-		// The hub echoes the negotiated version; v3 connections frame
-		// with the Castagnoli generation from here on.
-		if v >= 3 {
-			c.gen = wire.GenCastagnoli
-		} else {
-			c.gen = wire.GenIEEE
 		}
 		c.id = int(int32(le32(fr.payload[4:])))
 	case frameError:
@@ -355,7 +346,7 @@ const flushThreshold = 64 << 10
 // contract).
 func (c *Client) send(f frame) {
 	c.wmu.Lock()
-	buf, err := appendFrame(c.wbuf, f, c.gen)
+	buf, err := appendFrame(c.wbuf, f, wire.GenCurrent)
 	c.wbuf = buf
 	if err == nil && len(c.wbuf) >= flushThreshold {
 		err = c.flushLocked()
@@ -569,7 +560,7 @@ func (c *Client) Err() error {
 // connection closes. Safe to call more than once.
 func (c *Client) Close() error {
 	c.wmu.Lock()
-	if buf, err := appendFrame(c.wbuf, frame{typ: frameGoodbye, dst: hubRank}, c.gen); err == nil {
+	if buf, err := appendFrame(c.wbuf, frame{typ: frameGoodbye, dst: hubRank}, wire.GenCurrent); err == nil {
 		c.wbuf = buf
 	}
 	c.flushLocked()

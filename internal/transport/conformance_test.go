@@ -3,9 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"ptychopath/internal/wire"
 	"ptychopath/internal/wire/wiretest"
@@ -22,9 +24,10 @@ func conformanceFrame() frame {
 }
 
 // TestGoldenFrame pins the PTGW encoding under both checksum
-// generations, proves re-encode is bit-identical, and runs the
-// differential check: the one reader accepts both generations and
-// decodes them to the same frame.
+// generations (IEEE survives for HELLO and the version refusal) and
+// proves re-encode is bit-identical. The handshake reader accepts both
+// generations and decodes them to the same frame; the session reader
+// accepts only the current one.
 func TestGoldenFrame(t *testing.T) {
 	f := conformanceFrame()
 	current, err := appendFrame(nil, f, wire.GenCurrent)
@@ -44,6 +47,10 @@ func TestGoldenFrame(t *testing.T) {
 		t.Fatal("generations should differ only in the trailing CRC")
 	}
 
+	rd := frameReader{r: bytes.NewReader(legacy)}
+	if _, err := rd.read(); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("session read of an IEEE frame: %v, want ErrFrameCorrupt", err)
+	}
 	for name, raw := range map[string][]byte{"castagnoli": current, "ieee": legacy} {
 		got, err := readFrame(bytes.NewReader(raw))
 		if err != nil {
@@ -100,46 +107,114 @@ func TestFrameCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestHubSpeaksIEEEToV2Worker is the downgrade-compat check: a worker
-// that negotiates protocol v2 must get v2 semantics back — the WELCOME
-// echoes version 2, and every hub frame on that connection carries an
-// IEEE CRC so an old, single-generation reader can verify it.
-func TestHubSpeaksIEEEToV2Worker(t *testing.T) {
-	h := startHub(t)
-	conn, err := net.Dial("tcp", h.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := append(uint32le(MinProtoVersion), []byte("v2-worker")...)
-	if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
-		t.Fatal(err)
-	}
-
-	// Read the WELCOME raw so the trailing CRC's generation is visible.
+// readRawFrame reads one frame without verifying its CRC, so a test
+// can see which checksum generation the sender used.
+func readRawFrame(t *testing.T, r io.Reader) (typ uint8, payload []byte, crc uint32, covered []byte) {
+	t.Helper()
 	var hdr [4 + frameHeaderLen]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		t.Fatal(err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[17:])
 	body := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(conn, body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		t.Fatal(err)
 	}
-	payload, crc := body[:n], binary.LittleEndian.Uint32(body[n:])
-	covered := append(append([]byte(nil), hdr[4:]...), payload...)
-	if hdr[4] != frameWelcome {
-		t.Fatalf("frame type 0x%02x, want frameWelcome", hdr[4])
+	payload, crc = body[:n], binary.LittleEndian.Uint32(body[n:])
+	return hdr[4], payload, crc, append(append([]byte(nil), hdr[4:]...), payload...)
+}
+
+// TestHubRefusesV2Worker: the hub speaks exactly ProtoVersion. A v2
+// worker's IEEE-framed HELLO is refused with an IEEE-framed version
+// ERROR (so the old worker can parse it), and after the handshake an
+// IEEE-CRC frame is corrupt on either end of the connection.
+func TestHubRefusesV2Worker(t *testing.T) {
+	h := startHub(t)
+	dialHub := func(t *testing.T) net.Conn {
+		conn, err := net.Dial("tcp", h.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(testTimeout))
+		return conn
 	}
-	if got := binary.LittleEndian.Uint32(payload); got != MinProtoVersion {
-		t.Fatalf("WELCOME echoes version %d, want the negotiated %d", got, MinProtoVersion)
-	}
-	if crc != wire.Checksum(wire.GenIEEE, covered) {
-		t.Fatal("hub sent a non-IEEE CRC to a v2 worker")
-	}
-	if crc == wire.Checksum(wire.GenCastagnoli, covered) {
-		t.Fatal("CRC ambiguously matches both generations; fixture needs new bytes")
-	}
+
+	t.Run("v2 hello", func(t *testing.T) {
+		conn := dialHub(t)
+		hello := append(uint32le(2), []byte("v2-worker")...)
+		if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, crc, covered := readRawFrame(t, conn)
+		if typ != frameError {
+			t.Fatalf("frame type 0x%02x, want frameError", typ)
+		}
+		if crc != wire.Checksum(wire.GenIEEE, covered) || crc == wire.Checksum(wire.GenCastagnoli, covered) {
+			t.Fatal("version refusal is not IEEE-framed")
+		}
+		if len(payload) == 0 || payload[0] != codeVersion {
+			t.Fatalf("refusal payload %q, want code %d", payload, codeVersion)
+		}
+		if err := decodeError(payload); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("decoded %v, want ErrVersionMismatch", err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("hub kept the refused connection open: %v", err)
+		}
+		if len(h.Workers()) != 0 {
+			t.Fatal("refused worker was registered")
+		}
+	})
+
+	t.Run("ieee frame to hub", func(t *testing.T) {
+		conn := dialHub(t)
+		hello := append(uint32le(ProtoVersion), []byte("v3-worker")...)
+		if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
+			t.Fatal(err)
+		}
+		// The WELCOME already passes the Castagnoli-only session reader.
+		rd := frameReader{r: conn}
+		if fr, err := rd.read(); err != nil || fr.typ != frameWelcome {
+			t.Fatalf("welcome: %+v, %v", fr, err)
+		}
+		waitWorkers(t, h, 1)
+		if err := writeFrameGen(conn, frame{typ: frameBarrier, dst: hubRank}, wire.GenIEEE); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("hub kept a connection that sent an IEEE session frame: %v", err)
+		}
+		waitWorkers(t, h, 0)
+	})
+
+	t.Run("ieee frame to worker", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			readFrame(c) // hello
+			writeFrame(c, frame{typ: frameWelcome, src: hubRank,
+				payload: append(uint32le(ProtoVersion), uint32le(1)...)})
+			writeFrameGen(c, frame{typ: frameData, src: 0, tag: 1, payload: complexToBytes([]complex128{1})}, wire.GenIEEE)
+			io.Copy(io.Discard, c) // hold the connection until the worker hangs up
+		}()
+		c, err := Dial(ln.Addr().String(), DialOptions{Timeout: testTimeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Recv(0, 1); !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("recv after an IEEE session frame: got %v, want ErrFrameCorrupt", err)
+		}
+	})
 }
 
 // FuzzReadFrame hammers the frame decoder with the shared framing

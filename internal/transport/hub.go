@@ -37,7 +37,6 @@ type hubConn struct {
 	id   int
 	name string
 	conn net.Conn
-	gen  wire.Gen // checksum generation negotiated at handshake
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // per-connection encode scratch, guarded by wmu
@@ -121,18 +120,16 @@ func (h *Hub) acceptLoop() {
 // for the rest of the connection's life.
 func (h *Hub) serveConn(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	rd := frameReader{r: conn}
-	fr, err := rd.read()
+	fr, err := readFrame(conn)
 	if err != nil || fr.typ != frameHello || len(fr.payload) < 4 {
 		conn.Close()
 		return
 	}
-	v := le32(fr.payload)
-	if v < MinProtoVersion || v > ProtoVersion {
+	if v := le32(fr.payload); v != ProtoVersion {
 		// Version mismatch: tell the client precisely why, then hang
-		// up — legacy-framed, so a worker of any generation parses it.
+		// up — IEEE-framed, so a worker of any generation parses it.
 		writeFrameGen(conn, frame{typ: frameError, src: hubRank,
-			payload: errorPayload(codeVersion, fmt.Sprintf("hub speaks v%d-v%d, worker sent v%d", MinProtoVersion, ProtoVersion, v))}, wire.GenIEEE)
+			payload: errorPayload(codeVersion, fmt.Sprintf("hub speaks v%d, worker sent v%d", ProtoVersion, v))}, wire.GenIEEE)
 		conn.Close()
 		return
 	}
@@ -145,20 +142,13 @@ func (h *Hub) serveConn(conn net.Conn) {
 		return
 	}
 	h.nextID++
-	// The connection frames with the Castagnoli generation only when
-	// the worker is v3+; a v2 worker's reader knows only IEEE.
-	gen := wire.GenIEEE
-	if v >= 3 {
-		gen = wire.GenCastagnoli
-	}
-	w := &hubConn{id: h.nextID, name: name, conn: conn, gen: gen}
+	w := &hubConn{id: h.nextID, name: name, conn: conn}
 	h.mu.Unlock()
 
 	// WELCOME must be on the wire before the worker becomes leasable:
 	// registering first would let a concurrent StartSession write its
-	// SETUP ahead of the handshake reply. It echoes the negotiated
-	// version — the agreed dialect, not the hub's newest.
-	welcome := append(uint32le(v), uint32le(uint32(w.id))...)
+	// SETUP ahead of the handshake reply.
+	welcome := append(uint32le(ProtoVersion), uint32le(uint32(w.id))...)
 	if err := w.write(frame{typ: frameWelcome, src: hubRank, payload: welcome}); err != nil {
 		conn.Close()
 		return
@@ -174,6 +164,7 @@ func (h *Hub) serveConn(conn net.Conn) {
 	conn.SetDeadline(time.Time{})
 	w.lastSeen.Store(time.Now().UnixNano())
 
+	rd := frameReader{r: conn}
 	for {
 		fr, err := rd.read()
 		if err != nil {
@@ -221,7 +212,7 @@ func (w *hubConn) write(f frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	w.bytesOut.Add(int64(len(f.payload)))
-	buf, err := appendFrame(w.wbuf[:0], f, w.gen)
+	buf, err := appendFrame(w.wbuf[:0], f, wire.GenCurrent)
 	w.wbuf = buf
 	if err != nil {
 		return err
@@ -394,7 +385,7 @@ func (h *Hub) StartSession(setups []*Setup, cb SessionCallbacks) (*Session, erro
 			break
 		}
 		w.bytesOut.Add(int64(len(payload)))
-		if err := writeFrameGen(w.conn, frame{typ: frameSetup, src: hubRank, dst: int32(rank), payload: payload}, w.gen); err != nil {
+		if err := writeFrame(w.conn, frame{typ: frameSetup, src: hubRank, dst: int32(rank), payload: payload}); err != nil {
 			lostErr = fmt.Errorf("%w: worker %d: %v", ErrPeerLost, w.id, err)
 			break
 		}

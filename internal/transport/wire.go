@@ -30,28 +30,22 @@ import (
 	"ptychopath/internal/wire"
 )
 
-// ProtoVersion is the wire-protocol generation. The handshake
-// negotiates downward: a v3 hub accepts workers back to
-// MinProtoVersion and echoes the agreed version in WELCOME; anything
-// outside the range is refused (ErrVersionMismatch) — mixed
+// ProtoVersion is the wire-protocol generation. Hub and worker must
+// speak the same one: the hub refuses any other version in HELLO, and
+// the worker any other in WELCOME (ErrVersionMismatch) — mixed
 // deployments fail fast instead of corrupting a run.
 //
 // v2 extended ITER: every rank (not just rank 0) reports per-iteration
 // compute/comm timings in a 24-byte ITER payload, and SETUP carries a
-// trace-context string. A v1 hub would misread the 24-byte stats
-// payload as a progress report, hence the bump.
+// trace-context string.
 //
 // v3 switched the frame CRC to the Castagnoli generation
-// (internal/wire): both ends of a v3 connection emit hardware-speed
-// CRC-32C. Readers accept either generation per frame, and handshake
-// frames are always legacy-framed so any version can parse the
-// refusal; a v2 worker on a v3 hub simply keeps IEEE framing for its
-// connection. Deploy coordinator-first: a v3 worker needs a v3 hub.
+// (internal/wire): every frame after HELLO carries a hardware-speed
+// CRC-32C. HELLO and the hub's version-refusal ERROR stay IEEE-framed,
+// and the handshake reads accept either generation, so a worker of an
+// older version is refused with ErrVersionMismatch rather than dropped
+// as ErrFrameCorrupt.
 const ProtoVersion = 3
-
-// MinProtoVersion is the oldest worker generation the hub still
-// accepts.
-const MinProtoVersion = 2
 
 // frameMagic opens every frame on the wire.
 var frameMagic = [4]byte{'P', 'T', 'G', 'W'}
@@ -182,11 +176,26 @@ type frameReader struct {
 	scratch []byte
 }
 
-// read reads and validates one frame. Truncation, bad magic, an
-// over-limit length and a CRC mismatch all return ErrFrameCorrupt; a
-// clean EOF between frames returns io.EOF. Either checksum generation
-// (Castagnoli or legacy IEEE) is accepted per frame.
+// read reads and validates one session frame. Truncation, bad magic,
+// an over-limit length and a CRC mismatch all return ErrFrameCorrupt;
+// a clean EOF between frames returns io.EOF. Only the current
+// (Castagnoli) checksum generation is accepted.
 func (d *frameReader) read() (frame, error) {
+	return d.decode(false)
+}
+
+// readFrame reads one handshake frame (HELLO, WELCOME or the hub's
+// version refusal) with a throwaway scratch. Unlike a session read it
+// accepts either checksum generation: an older worker's IEEE-framed
+// HELLO must reach the version check.
+func readFrame(r io.Reader) (frame, error) {
+	d := frameReader{r: r}
+	return d.decode(true)
+}
+
+// decode is read, additionally accepting an IEEE CRC when handshake
+// is set.
+func (d *frameReader) decode(handshake bool) (frame, error) {
 	var hdr [4 + frameHeaderLen]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -216,21 +225,13 @@ func (d *frameReader) read() (frame, error) {
 	d.scratch = buf
 	payload := buf[:n]
 	got := binary.LittleEndian.Uint32(buf[n:])
-	// The CRC covers type..payload — continue it across the two spans,
-	// current generation first so the happy path is one hardware pass.
+	// The CRC covers type..payload — continue it across the two spans.
 	want := wire.Update(wire.GenCurrent, wire.Checksum(wire.GenCurrent, hdr[4:]), payload)
-	if got != want && got != wire.Update(wire.GenIEEE, wire.Checksum(wire.GenIEEE, hdr[4:]), payload) {
+	if got != want && !(handshake && got == wire.Update(wire.GenIEEE, wire.Checksum(wire.GenIEEE, hdr[4:]), payload)) {
 		return frame{}, fmt.Errorf("%w: crc %08x, want %08x", ErrFrameCorrupt, got, want)
 	}
 	f.payload = payload
 	return f, nil
-}
-
-// readFrame reads one frame with a throwaway scratch — handshake and
-// test convenience; connection loops hold a frameReader.
-func readFrame(r io.Reader) (frame, error) {
-	d := frameReader{r: r}
-	return d.read()
 }
 
 // complexToBytes serializes a []complex128 payload as interleaved

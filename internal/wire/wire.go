@@ -9,9 +9,9 @@
 //     which hash/crc32 computes with dedicated SIMD instructions on
 //     amd64 and arm64 — the difference between ~1 GB/s and
 //     hardware-speed checksumming on the wire hot path. Writers emit
-//     the current generation; readers accept BOTH via Verify, so files
-//     written and peers deployed before the switch keep decoding
-//     (docs/FORMATS.md, "Checksum generations").
+//     the current generation; file readers accept BOTH via Verify, so
+//     data written before the switch keeps decoding (docs/FORMATS.md,
+//     "Checksum generations").
 //
 //   - Allocation-free little-endian encode/decode primitives: append
 //     helpers that grow a caller-owned scratch buffer (amortized zero
@@ -46,8 +46,8 @@ type Gen uint8
 
 const (
 	// GenIEEE is generation 0: the original IEEE CRC-32 polynomial,
-	// software slicing-by-8. Legacy files and protocol peers frame
-	// with it; writers no longer emit it.
+	// software slicing-by-8. Legacy files and the PTGW handshake
+	// (HELLO, version refusal) frame with it; no other writer emits it.
 	GenIEEE Gen = 0
 	// GenCastagnoli is generation 1: the Castagnoli polynomial,
 	// computed with dedicated instructions (SSE4.2 CRC32 / ARMv8 CRC)
