@@ -24,7 +24,8 @@ type SubmitRequest struct {
 	// RoundsPerIteration is the communication frequency of the parallel
 	// algorithms. Default 1.
 	RoundsPerIteration int `json:"rounds_per_iteration,omitempty"`
-	// IntraWorkers is the per-rank goroutine count for gd batch mode.
+	// IntraWorkers is the per-rank goroutine count for gd batch mode
+	// (at most 64; the server refuses more with 400 bad_params).
 	IntraWorkers int `json:"intra_workers,omitempty"`
 	// CheckpointEvery is the iteration period of OBJCKv1 checkpoints
 	// and preview snapshots; 0 selects the server default.

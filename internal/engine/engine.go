@@ -42,6 +42,12 @@ const (
 // laptop scale of this repository).
 const DefaultExtraRows = 1
 
+// MaxIntraWorkers is the largest Spec.IntraWorkers a plan accepts: New
+// fails above it, so every submit path answers it as invalid
+// parameters before anything is queued or started. gradsync owns the
+// value because its Options.Check enforces it for direct callers too.
+const MaxIntraWorkers = gradsync.MaxIntraWorkers
+
 // Spec states an engine and its parameters as a caller has them.
 type Spec struct {
 	// Algorithm is Serial, GD or HVE.
@@ -55,7 +61,8 @@ type Spec struct {
 	// RoundsPerIteration is the parallel engines' communication
 	// frequency: gd passes or hve voxel exchanges per iteration.
 	RoundsPerIteration int
-	// IntraWorkers is gd's per-rank goroutine count (batch mode only).
+	// IntraWorkers is gd's per-rank goroutine count (batch mode only,
+	// at most MaxIntraWorkers).
 	IntraWorkers int
 	// Sequential switches serial to per-location (PIE-style) updates.
 	Sequential bool

@@ -17,6 +17,11 @@ type Scratch struct {
 	conv []complex128 // Bluestein convolution workspace
 }
 
+// Bytes returns the arena's resident size.
+func (s *Scratch) Bytes() int64 {
+	return int64(cap(s.work)+cap(s.conv)) * 16
+}
+
 // workBuf returns the ping-pong buffer grown to at least n elements.
 func (s *Scratch) workBuf(n int) []complex128 {
 	if cap(s.work) < n {

@@ -54,6 +54,11 @@ const (
 	ModeFaithful
 )
 
+// MaxIntraWorkers caps Options.IntraWorkers. Each sub-worker is a
+// goroutine with its own engine and tile-sized gradient stack, so the
+// cap bounds what one request can make a rank start and hold.
+const MaxIntraWorkers = 64
+
 // Options configures a parallel reconstruction.
 type Options struct {
 	Mesh *tiling.Mesh
@@ -77,7 +82,8 @@ type Options struct {
 	// compute its locations' gradients concurrently — the functional
 	// stand-in for a GPU's internal parallelism. Only ModeBatch
 	// supports it (per-location sequential updates are order-dependent
-	// by definition); values <= 1 mean single-threaded. Results match
+	// by definition); values <= 1 mean single-threaded, and values
+	// above MaxIntraWorkers are rejected. Results match
 	// the single-threaded run up to floating-point summation order.
 	IntraWorkers int
 	// StopBelowCost, when positive, stops the reconstruction early once
@@ -104,6 +110,9 @@ func (o *Options) Check() error {
 	}
 	if o.RoundsPerIteration < 0 {
 		return fmt.Errorf("gradsync: rounds per iteration must be >= 0, got %d", o.RoundsPerIteration)
+	}
+	if o.IntraWorkers > MaxIntraWorkers {
+		return fmt.Errorf("gradsync: IntraWorkers %d exceeds the cap of %d per rank", o.IntraWorkers, MaxIntraWorkers)
 	}
 	if o.IntraWorkers > 1 && o.Mode == ModeFaithful {
 		return fmt.Errorf("gradsync: IntraWorkers requires ModeBatch (faithful Alg 1 updates are order-dependent)")
@@ -136,9 +145,13 @@ const (
 	tagHB = 4
 )
 
-// worker is the per-rank state. All gradient scratch lives in ws (and,
-// when IntraWorkers is enabled, in the persistent intra pool), so the
-// per-location hot loop is allocation-free in steady state.
+// worker is the per-rank state. In ModeBatch each location's gradient
+// goes straight into AccBuf, so the only per-location scratch is the
+// window-sized engine in ws; ModeFaithful also needs the location's
+// gradient on its own for the line-8 update and keeps it in ws's
+// tile-sized gradient stack. With IntraWorkers the persistent intra
+// pool holds one workspace per sub-worker. The per-location hot loop is
+// allocation-free in steady state.
 type worker struct {
 	comm   simmpi.Transport
 	mesh   *tiling.Mesh
@@ -148,7 +161,7 @@ type worker struct {
 	ext    grid.Rect
 	slices []*grid.Complex2D // reconstruction on the extended tile
 	acc    []*grid.Complex2D // accumulated gradient buffer (AccBuf_k)
-	ws     *solver.Workspace // engine + per-location gradient scratch
+	ws     *solver.Workspace // engine (+ ModeFaithful's gradient stack)
 	owned  []int
 	intra  *intraPool // persistent IntraWorkers goroutine pool (nil if <= 1)
 
@@ -190,20 +203,22 @@ func (w *worker) close() {
 }
 
 // memBytes estimates the rank's resident memory (complex128 = 16 B,
-// float64 = 8 B).
+// float64 = 8 B): the extended-tile object and AccBuf, the owned
+// locations' measurements and the engine's window-sized scratch, plus
+// the workspace gradient stack that only ModeFaithful materializes and
+// each IntraWorkers sub-worker's workspace.
 func (w *worker) memBytes() int64 {
-	ext := int64(w.ext.Area()) * 16
-	tileSide := ext * int64(w.prob.Slices) * 3 // slices + acc + workspace grads
+	slices := w.prob.Slices
+	stack := int64(w.ext.Area()) * 16 * int64(slices) // one extended-tile stack
 	n2 := int64(w.prob.WindowN * w.prob.WindowN)
-	meas := int64(len(w.owned)) * n2 * 8
-	model := n2 * 16 * int64(w.prob.Slices+4) // psi stack + engine workspaces
-	total := tileSide + meas + model
+	total := 2*stack + int64(len(w.owned))*n2*8 + w.ws.Eng.MemBytes(slices)
+	if w.opt.Mode == ModeFaithful {
+		total += stack
+	}
 	if w.intra != nil {
-		// The rank workspace's gradient arrays never materialize (all
-		// chunks go through the pool); each persistent sub-worker instead
-		// holds its own tile-sized gradient arrays plus a model workspace.
-		total -= ext * int64(w.prob.Slices)
-		total += int64(len(w.intra.subs)) * (ext*int64(w.prob.Slices) + model)
+		for _, sub := range w.intra.subs {
+			total += stack + sub.ws.Eng.MemBytes(slices)
+		}
 	}
 	return total
 }
@@ -329,8 +344,36 @@ func (w *worker) Slices() []*grid.Complex2D { return w.slices }
 // Times returns the cumulative compute and communication nanoseconds.
 func (w *worker) Times() (computeNS, commNS int64) { return w.computeNS, w.commNS }
 
+// location evaluates owned location i and adds its individual image
+// gradient into AccBuf (Alg 1 line 7), returning the loss. The gradient
+// is nonzero only on the probe window, so the work scales with the
+// window, not the tile: ModeBatch accumulates straight into AccBuf, and
+// ModeFaithful, which also needs the gradient alone for the immediate
+// local update (line 8), clears and drains its workspace stack over the
+// window ∩ tile only.
+func (w *worker) location(i int) float64 {
+	li := w.owned[i]
+	win := w.prob.Pattern.Locations[li].Window(w.prob.WindowN)
+	if w.opt.Mode == ModeBatch {
+		return w.ws.Eng.LossGrad(w.slices, win, w.prob.Meas[li], w.acc)
+	}
+	region := w.ws.ZeroWindow(win)
+	f := w.ws.LossGrad(w.slices, win, w.prob.Meas[li])
+	grads := w.ws.Grads()
+	step := complex(w.opt.StepSize, 0)
+	for s := range w.acc {
+		w.acc[s].AddScaledRegion(grads[s], region, 1)        // line 7
+		w.slices[s].AddScaledRegion(grads[s], region, -step) // line 8
+	}
+	return f
+}
+
 // Iterate runs one full cycle through the rank's locations with the
 // configured number of communication rounds, returning the local cost.
+// Each location goes through location, so its work is window-sized:
+// in ModeBatch the kernel adds straight into AccBuf and the workspace
+// gradient stack never materializes. With IntraWorkers the round's
+// locations are spread over the persistent pool instead.
 func (w *worker) Iterate() (float64, error) {
 	rounds := w.opt.RoundsPerIteration
 	if rounds <= 0 {
@@ -338,7 +381,6 @@ func (w *worker) Iterate() (float64, error) {
 	}
 	var cost float64
 	n := len(w.owned)
-	step := complex(w.opt.StepSize, 0)
 	done := 0
 	for round := 0; round < rounds; round++ {
 		computeStart := time.Now()
@@ -349,19 +391,7 @@ func (w *worker) Iterate() (float64, error) {
 			done = upto
 		} else {
 			for ; done < upto; done++ {
-				li := w.owned[done]
-				loc := w.prob.Pattern.Locations[li]
-				w.ws.ZeroGrads()
-				f := w.ws.LossGrad(w.slices, loc.Window(w.prob.WindowN), w.prob.Meas[li])
-				cost += f
-				for s := range w.acc {
-					w.acc[s].AddScaled(w.ws.Grads()[s], 1) // AccBuf += grad (line 7)
-				}
-				if w.opt.Mode == ModeFaithful {
-					for s := range w.slices {
-						w.slices[s].AddScaled(w.ws.Grads()[s], -step) // line 8
-					}
-				}
+				cost += w.location(done)
 			}
 		}
 		w.computeNS += time.Since(computeStart).Nanoseconds()
@@ -440,14 +470,11 @@ func (w *worker) gradientChunkParallel(lo, hi int) float64 {
 		nw = span
 	}
 	if nw <= 1 {
-		// Tiny chunks: one pass on the rank's own workspace engine,
-		// accumulating straight into AccBuf.
+		// Tiny chunks: one pass on the rank's own engine, accumulating
+		// straight into AccBuf (IntraWorkers implies ModeBatch).
 		var cost float64
 		for i := lo; i < hi; i++ {
-			li := w.owned[i]
-			loc := w.prob.Pattern.Locations[li]
-			cost += w.ws.Eng.LossGrad(w.slices, loc.Window(w.prob.WindowN),
-				w.prob.Meas[li], w.acc)
+			cost += w.location(i)
 		}
 		return cost
 	}
@@ -544,9 +571,8 @@ func ParallelGradient(prob *solver.Problem, full []*grid.Complex2D, mesh *tiling
 	err := simmpi.Run(ranks, timeout, func(comm *simmpi.Comm) error {
 		w := newWorker(comm, prob, &opt, owned, full)
 		defer w.close()
-		for _, li := range w.owned {
-			loc := prob.Pattern.Locations[li]
-			w.ws.Eng.LossGrad(w.slices, loc.Window(prob.WindowN), prob.Meas[li], w.acc)
+		for i := range w.owned {
+			w.location(i)
 		}
 		if err := w.runPasses(); err != nil {
 			return err

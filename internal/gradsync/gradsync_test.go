@@ -2,6 +2,7 @@ package gradsync
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,6 +292,48 @@ func TestPerRankAccounting(t *testing.T) {
 	if res.PerRankMemBytes[4] >= res1.PerRankMemBytes[0] {
 		t.Fatalf("9-rank tile memory %d not below 1-rank %d",
 			res.PerRankMemBytes[4], res1.PerRankMemBytes[0])
+	}
+}
+
+// TestMemBytesBatchVsFaithful: a ModeBatch rank accumulates each
+// location straight into AccBuf and never materializes its workspace
+// gradient stack; ModeFaithful keeps one for the line-8 update. Their
+// per-rank estimates must differ by exactly one extended-tile stack.
+func TestMemBytesBatchVsFaithful(t *testing.T) {
+	prob, obj := buildProblem(t, 6, 6, 0.7, 2)
+	init := phantom.Vacuum(obj.Bounds(), prob.Slices)
+	m := mesh(t, prob, 2, 2, tiling.HaloForWindow(prob.WindowN))
+	mem := func(mode Mode) []int64 {
+		res, err := Reconstruct(prob, init.Slices, Options{
+			Mesh: m, Mode: mode, StepSize: 0.01, Iterations: 1, Timeout: testTimeout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PerRankMemBytes
+	}
+	batch, faithful := mem(ModeBatch), mem(ModeFaithful)
+	for rank := range batch {
+		r, c := m.RowCol(rank)
+		stack := int64(m.Extended(r, c).Area()) * 16 * int64(prob.Slices)
+		if d := faithful[rank] - batch[rank]; d != stack {
+			t.Errorf("rank %d: faithful %d - batch %d = %d B, want one extended-tile stack %d B",
+				rank, faithful[rank], batch[rank], d, stack)
+		}
+	}
+}
+
+// TestCheckCapsIntraWorkers: MaxIntraWorkers is accepted, one more is
+// not. Check runs before any worker exists, so the rejected value
+// starts nothing.
+func TestCheckCapsIntraWorkers(t *testing.T) {
+	opt := Options{Mesh: &tiling.Mesh{}, StepSize: 0.01, Iterations: 1, IntraWorkers: MaxIntraWorkers}
+	if err := opt.Check(); err != nil {
+		t.Fatalf("IntraWorkers at the cap: %v", err)
+	}
+	opt.IntraWorkers++
+	if err := opt.Check(); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+		t.Fatalf("IntraWorkers above the cap: err %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"ptychopath/internal/obs"
 	"ptychopath/internal/phantom"
-	"ptychopath/internal/simmpi"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
 )
@@ -77,31 +76,10 @@ func TestWorkerGradientAllocationFreeTraced(t *testing.T) {
 			tr.Record("compute", 0, rank, iter, time.Now(), time.Duration(computeNS))
 		}},
 	}
-	if err := opt.validate(prob); err != nil {
-		t.Fatal(err)
-	}
-	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
-	owned := m.AssignLocations(prob.Pattern)
-	var allocs float64
-	err := simmpi.Run(1, testTimeout, func(comm *simmpi.Comm) error {
-		w := newWorker(comm, prob, &opt, owned, init.Slices)
-		defer w.close()
-		li := w.owned[0]
-		win := prob.Pattern.Locations[li].Window(prob.WindowN)
-		w.ws.ZeroGrads()
-		w.ws.LossGrad(w.slices, win, prob.Meas[li])
-		allocs = testing.AllocsPerRun(10, func() {
-			w.ws.ZeroGrads()
-			w.ws.LossGrad(w.slices, win, prob.Meas[li])
-			for s := range w.acc {
-				w.acc[s].AddScaled(w.ws.Grads()[s], 1)
-			}
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorker(t, prob, &opt, 0)
+	defer w.close()
+	w.location(0)
+	allocs := testing.AllocsPerRun(10, func() { w.location(0) })
 	if allocs != 0 {
 		t.Errorf("per-location kernel allocates %v with tracing enabled, want 0", allocs)
 	}

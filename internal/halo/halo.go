@@ -182,14 +182,16 @@ func (w *hworker) Iterate() (float64, error) {
 		upto := (ex + 1) * nloc / exchanges
 		for ; done < upto; done++ {
 			li := w.all[done]
-			loc := w.prob.Pattern.Locations[li]
-			w.ws.ZeroGrads()
-			f := w.ws.LossGrad(w.slices, loc.Window(w.prob.WindowN), w.prob.Meas[li])
+			win := w.prob.Pattern.Locations[li].Window(w.prob.WindowN)
+			// The gradient is nonzero only on the window: clear and
+			// apply it over window ∩ tile, not the whole tile.
+			region := w.ws.ZeroWindow(win)
+			f := w.ws.LossGrad(w.slices, win, w.prob.Meas[li])
 			if done < len(w.owned) {
 				cost += f
 			}
 			for s := range w.slices {
-				w.slices[s].AddScaled(w.ws.Grads()[s], -step)
+				w.slices[s].AddScaledRegion(w.ws.Grads()[s], region, -step)
 			}
 		}
 		w.computeNS += time.Since(computeStart).Nanoseconds()
@@ -240,12 +242,15 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	// loop never touches the heap after warm-up.
 	w.ws = prob.NewWorkspace(ext)
 
+	// Resident memory: the extended-tile object and the workspace
+	// gradient stack, every reconstructed location's measurement and
+	// the engine's window-sized scratch.
 	n2 := int64(prob.WindowN * prob.WindowN)
 	out := &collective.RankOutcome{
 		Locations: len(w.all),
 		Owned:     len(w.owned),
 		MemBytes: int64(ext.Area())*16*int64(prob.Slices)*2 +
-			int64(len(w.all))*n2*8 + n2*16*int64(prob.Slices+4),
+			int64(len(w.all))*n2*8 + w.ws.Eng.MemBytes(prob.Slices),
 	}
 	if err := collective.Drive(comm, m, w, opt.Iterations, 0, &opt.Hooks, out); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 
 	"ptychopath/client"
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/jobs"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
@@ -295,6 +296,10 @@ func TestHTTPValidation(t *testing.T) {
 	}
 	if st := postSubmit(t, ts.URL+"/v1/jobs", `{"iterations":-5}`, upload.Bytes(), nil); st != http.StatusBadRequest {
 		t.Errorf("iterations -5: status %d, want 400", st)
+	}
+	overCap := fmt.Sprintf(`{"algorithm":"gd","iterations":3,"mesh_rows":2,"mesh_cols":2,"intra_workers":%d}`, engine.MaxIntraWorkers+1)
+	if st := postSubmit(t, ts.URL+"/v1/jobs", overCap, upload.Bytes(), nil); st != http.StatusBadRequest {
+		t.Errorf("intra_workers above the cap: status %d, want 400", st)
 	}
 	// A healthy server says so.
 	if st := getJSON(t, ts.URL+"/healthz", nil); st != http.StatusOK {

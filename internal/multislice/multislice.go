@@ -25,11 +25,14 @@ import (
 
 // Engine evaluates the forward model and gradients for a fixed probe,
 // propagator and window size. An Engine is the wavefield half of the
-// per-worker scratch arena: it owns the exit-wave stack, the residual
-// (chi) buffer, the window-extraction buffer and an fft.Scratch, so
-// steady-state Loss/LossGrad calls perform zero heap allocations. It is
-// NOT safe for concurrent use; parallel workers each construct their
-// own (construction is cheap — FFT plans are cached globally).
+// per-worker scratch arena: it owns the exit-wave stack, the per-slice
+// window stack, the far-field magnitude and residual (chi) buffers and
+// an fft.Scratch, so steady-state Loss/LossGrad calls perform zero heap
+// allocations. Every buffer is window-sized (n x n); the only
+// tile-sized memory a location touches is the window of the caller's
+// gradient arrays. It is NOT safe for concurrent use; parallel workers
+// each construct their own (construction is cheap — FFT plans are
+// cached globally).
 type Engine struct {
 	n     int
 	probe *grid.Complex2D // anchored at (0,0), n x n, read-only
@@ -37,12 +40,14 @@ type Engine struct {
 	plan  *fft.Plan2D
 	scr   fft.Scratch // per-engine FFT workspace arena
 
-	// Scratch: per-slice wavefronts psi[0..S] kept from the last forward
-	// evaluation for use by the backward pass.
+	// Scratch kept from the last forward evaluation for the backward
+	// pass: psi[s] is the wave entering slice s (psi[S] is overwritten
+	// in place by the far field D), wins[s] is slice s's window and
+	// dAbs holds |D|.
 	psi   []*grid.Complex2D
-	fwork *grid.Complex2D // far-field / residual workspace
-	bwork *grid.Complex2D // backward wave workspace
-	twin  *grid.Complex2D // window extraction of the current slice
+	wins  []*grid.Complex2D
+	dAbs  []float64
+	bwork *grid.Complex2D // residual / backward wave workspace
 }
 
 // NewEngine builds an engine for the given probe and propagation kernel.
@@ -66,9 +71,8 @@ func NewEngine(probe, h *grid.Complex2D) *Engine {
 		probe: p,
 		h:     h,
 		plan:  fft.NewPlan2D(n, n),
-		fwork: grid.NewComplex2DSize(n, n),
+		dAbs:  make([]float64, n*n),
 		bwork: grid.NewComplex2DSize(n, n),
-		twin:  grid.NewComplex2DSize(n, n),
 	}
 	e.scr.Warm(e.plan)
 	return e
@@ -89,17 +93,31 @@ func (e *Engine) SetProbe(p *grid.Complex2D) {
 	copy(e.probe.Data, p.Data)
 }
 
-// ensurePsi sizes the wavefront stack for S slices.
-func (e *Engine) ensurePsi(s int) {
+// ensureStack sizes the wavefront and window stacks for S slices.
+func (e *Engine) ensureStack(s int) {
 	for len(e.psi) < s+1 {
 		e.psi = append(e.psi, grid.NewComplex2DSize(e.n, e.n))
 	}
+	for len(e.wins) < s {
+		e.wins = append(e.wins, grid.NewComplex2DSize(e.n, e.n))
+	}
+}
+
+// MemBytes returns the engine's resident scratch when it evaluates
+// locations on a stack of the given number of slices: the probe, the
+// residual buffer, psi[0..S], the S slice windows, |D| and the FFT
+// arena. The propagator is the problem's and shared, so not counted.
+func (e *Engine) MemBytes(slices int) int64 {
+	n2 := int64(e.n * e.n)
+	return n2*16*int64(2*slices+3) + n2*8 + e.scr.Bytes()
 }
 
 // extractWindow copies the window region win of slice into dst (n x n at
 // origin), padding out-of-bounds texels with vacuum (1).
 func extractWindow(dst *grid.Complex2D, slice *grid.Complex2D, win grid.Rect) {
-	dst.Fill(1)
+	if !slice.Bounds.ContainsRect(win) {
+		dst.Fill(1)
+	}
 	inter := win.Intersect(slice.Bounds)
 	if inter.Empty() {
 		return
@@ -114,25 +132,22 @@ func extractWindow(dst *grid.Complex2D, slice *grid.Complex2D, win grid.Rect) {
 	}
 }
 
-// forward runs the multi-slice recursion, leaving psi[s] for s=0..S
-// populated and returning the far-field D (stored in fwork).
+// forward runs the multi-slice recursion, leaving psi[s] and wins[s]
+// for s=0..S-1 populated and returning the far-field D, transformed in
+// place in psi[S] (the backward pass never reads the exit wave).
 func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2D {
 	s := len(slices)
 	if s == 0 {
 		panic("multislice: empty slice stack")
 	}
-	e.ensurePsi(s)
+	e.ensureStack(s)
 	copy(e.psi[0].Data, e.probe.Data)
 	for i, sl := range slices {
-		if sl.W() < e.n || sl.H() < e.n {
-			// Slices smaller than the window are legal (vacuum pad), but
-			// warn-level situations are caught by callers in tests.
-			_ = sl
-		}
-		extractWindow(e.twin, sl, win)
+		t := e.wins[i]
+		extractWindow(t, sl, win)
 		cur, next := e.psi[i], e.psi[i+1]
 		for j := range cur.Data {
-			next.Data[j] = cur.Data[j] * e.twin.Data[j]
+			next.Data[j] = cur.Data[j] * t.Data[j]
 		}
 		if e.h != nil && i < len(slices)-1 {
 			e.plan.TransformScratch(next, fft.Forward, &e.scr)
@@ -142,9 +157,9 @@ func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2
 			e.plan.TransformScratch(next, fft.Inverse, &e.scr)
 		}
 	}
-	copy(e.fwork.Data, e.psi[s].Data)
-	e.plan.TransformScratch(e.fwork, fft.Forward, &e.scr)
-	return e.fwork
+	d := e.psi[s]
+	e.plan.TransformScratch(d, fft.Forward, &e.scr)
+	return d
 }
 
 // Simulate computes the far-field amplitude |G(p, V)| for the window win
@@ -162,14 +177,17 @@ func (e *Engine) Simulate(slices []*grid.Complex2D, win grid.Rect) *grid.Float2D
 // against the measured amplitude yAmp (n x n).
 func (e *Engine) Loss(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D) float64 {
 	d := e.forward(slices, win)
-	f, _ := amplitudeLoss(d, yAmp)
+	f, _ := amplitudeLoss(d, yAmp, e.dAbs)
 	return f
 }
 
-// amplitudeLoss returns sum_q (|y(q)| - |D(q)|)^2 and max_q |D(q)|.
-func amplitudeLoss(d *grid.Complex2D, yAmp *grid.Float2D) (f, dMax float64) {
+// amplitudeLoss returns sum_q (|y(q)| - |D(q)|)^2 and max_q |D(q)|,
+// storing |D(q)| in dAbs for the residual pass.
+func amplitudeLoss(d *grid.Complex2D, yAmp *grid.Float2D, dAbs []float64) (f, dMax float64) {
+	dAbs = dAbs[:len(d.Data)]
 	for i, v := range d.Data {
 		m := cmplx.Abs(v)
+		dAbs[i] = m
 		r := yAmp.Data[i] - m
 		f += r * r
 		dMax = max(dMax, m)
@@ -207,7 +225,7 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 	}
 	s := len(slices)
 	d := e.forward(slices, win)
-	f, dMax := amplitudeLoss(d, yAmp)
+	f, dMax := amplitudeLoss(d, yAmp, e.dAbs)
 
 	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|. Where the far field
 	// is FFT rounding noise (|D| <= 1e-12 max|D|: outside the probe
@@ -217,7 +235,7 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 	chi := e.bwork
 	floor := 1e-12 * dMax
 	for i, v := range d.Data {
-		m := cmplx.Abs(v)
+		m := e.dAbs[i]
 		if m <= floor {
 			chi.Data[i] = complex(m-yAmp.Data[i], 0)
 			continue
@@ -226,9 +244,9 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 	}
 	// psi_bar_S = F^H chi = N * F^-1 chi.
 	e.plan.TransformScratch(chi, fft.Inverse, &e.scr)
-	scale := complex(float64(e.n*e.n), 0)
-	for i := range chi.Data {
-		chi.Data[i] *= scale
+	scale := float64(e.n * e.n)
+	for i, v := range chi.Data {
+		chi.Data[i] = complex(real(v)*scale, imag(v)*scale)
 	}
 
 	// Backward slice loop: chi currently holds psi_bar after slice s.
@@ -242,22 +260,23 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 			e.plan.TransformScratch(chi, fft.Inverse, &e.scr)
 		}
 		// g_t(i) = conj(psi_i) * psi_bar'  (psi_i = wave entering slice i).
-		extractWindow(e.twin, slices[i], win)
-		g := grads[i]
-		inter := win.Intersect(g.Bounds)
-		for y := inter.Y0; y < inter.Y1; y++ {
-			gRow := g.Row(y)
-			wy := y - win.Y0
-			for x := inter.X0; x < inter.X1; x++ {
-				wx := x - win.X0
-				idx := wy*e.n + wx
-				gRow[x-g.Bounds.X0] += cmplx.Conj(e.psi[i].Data[idx]) * chi.Data[idx]
+		g, psi := grads[i], e.psi[i]
+		if inter := win.Intersect(g.Bounds); !inter.Empty() {
+			w := inter.W()
+			for y := inter.Y0; y < inter.Y1; y++ {
+				gRow := g.Row(y)[inter.X0-g.Bounds.X0:][:w]
+				off := (y-win.Y0)*e.n + inter.X0 - win.X0
+				pRow, cRow := psi.Data[off:off+w], chi.Data[off:off+w]
+				for x, c := range cRow {
+					gRow[x] += cmplx.Conj(pRow[x]) * c
+				}
 			}
 		}
 		// psi_bar_{i-1} = conj(t_i) * psi_bar'.
 		if i > 0 || probeGrad != nil {
+			t := e.wins[i]
 			for j := range chi.Data {
-				chi.Data[j] *= cmplx.Conj(e.twin.Data[j])
+				chi.Data[j] *= cmplx.Conj(t.Data[j])
 			}
 		}
 	}

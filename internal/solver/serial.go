@@ -145,12 +145,13 @@ func Reconstruct(prob *Problem, init []*grid.Complex2D, opt Options) (*Result, e
 			applyProbe()
 		case Sequential:
 			for i, l := range prob.Pattern.Locations {
-				for _, g := range grads {
-					g.Zero()
-				}
-				cost += lossGrad(i, l.Window(prob.WindowN))
+				// The location's gradient is nonzero only on its
+				// window: clear and apply it over window ∩ image.
+				win := l.Window(prob.WindowN)
+				region := ws.ZeroWindow(win)
+				cost += lossGrad(i, win)
 				for s := range slices {
-					slices[s].AddScaled(grads[s], -step)
+					slices[s].AddScaledRegion(grads[s], region, -step)
 				}
 				applyProbe()
 			}
