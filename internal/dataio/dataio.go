@@ -1,8 +1,7 @@
 // Package dataio defines the binary on-disk dataset format used by the
 // command-line tools: a self-describing container holding the scan
 // pattern, probe wavefunction, propagator, and per-location diffraction
-// amplitudes. The format is little-endian, versioned, and written with
-// nothing but encoding/binary.
+// amplitudes. The format is little-endian and versioned.
 //
 // Layout (all integers little-endian):
 //
@@ -22,7 +21,6 @@ package dataio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,6 +30,7 @@ import (
 	"ptychopath/internal/grid"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
+	"ptychopath/internal/wire"
 )
 
 var magic = [8]byte{'P', 'T', 'Y', 'C', 'H', 'O', 'v', '1'}
@@ -82,59 +81,114 @@ func Write(w io.Writer, prob *solver.Problem) error {
 	if prob.Prop != nil {
 		hasProp = 1
 	}
-	header := []int64{
+	var c codec
+	if err := c.writeInt64s(bw,
 		int64(prob.WindowN), int64(prob.Slices),
 		int64(prob.Pattern.ImageW), int64(prob.Pattern.ImageH),
 		int64(prob.Pattern.N()), hasProp,
-		int64(math.Round(prob.Pattern.StepPix * 1e6)),
-		int64(math.Round(prob.Pattern.RadiusPix * 1e6)),
+		int64(math.Round(prob.Pattern.StepPix*1e6)),
+		int64(math.Round(prob.Pattern.RadiusPix*1e6)),
 		0,
-	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
+	); err != nil {
 		return err
 	}
-	if err := writeComplex(bw, prob.Probe); err != nil {
+	if err := c.writeComplex(bw, prob.Probe); err != nil {
 		return err
 	}
 	if prob.Prop != nil {
-		if err := writeComplex(bw, prob.Prop); err != nil {
+		if err := c.writeComplex(bw, prob.Prop); err != nil {
 			return err
 		}
 	}
 	for _, l := range prob.Pattern.Locations {
-		if err := binary.Write(bw, binary.LittleEndian, int64(l.Index)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, []float64{l.X, l.Y, l.Radius}); err != nil {
+		c.buf = wire.AppendInt64(c.buf[:0], int64(l.Index))
+		c.buf = wire.AppendFloat64(c.buf, l.X)
+		c.buf = wire.AppendFloat64(c.buf, l.Y)
+		c.buf = wire.AppendFloat64(c.buf, l.Radius)
+		if _, err := bw.Write(c.buf); err != nil {
 			return err
 		}
 	}
 	for _, m := range prob.Meas {
-		if err := binary.Write(bw, binary.LittleEndian, m.Data); err != nil {
+		if err := c.writeFloat64s(bw, m.Data); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-func writeComplex(w io.Writer, a *grid.Complex2D) error {
-	buf := make([]float64, 2*len(a.Data))
-	for i, v := range a.Data {
-		buf[2*i] = real(v)
-		buf[2*i+1] = imag(v)
+// codec is the scratch of the bulk little-endian paths shared by the
+// PTYCHOv1, OBJCKv1 and PTYCHS opening codecs. One buffer, reused for
+// every header, location and array of a file, carries the bytes, and
+// internal/wire converts them in bulk (a memory copy on little-endian
+// hosts) — the bytes are exactly what encoding/binary writes, without
+// its per-call reflection and allocations.
+type codec struct{ buf []byte }
+
+func (c *codec) writeInt64s(w io.Writer, vs ...int64) error {
+	c.buf = c.buf[:0]
+	for _, v := range vs {
+		c.buf = wire.AppendInt64(c.buf, v)
 	}
-	return binary.Write(w, binary.LittleEndian, buf)
+	_, err := w.Write(c.buf)
+	return err
 }
 
-func readComplex(r io.Reader, n int) (*grid.Complex2D, error) {
-	buf := make([]float64, 2*n*n)
-	if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+func (c *codec) writeFloat64s(w io.Writer, vs []float64) error {
+	c.buf = wire.AppendFloat64s(c.buf[:0], vs)
+	_, err := w.Write(c.buf)
+	return err
+}
+
+// writeComplex writes a's values as interleaved (re, im) float64s.
+func (c *codec) writeComplex(w io.Writer, a *grid.Complex2D) error {
+	c.buf = wire.AppendComplex128s(c.buf[:0], a.Data)
+	_, err := w.Write(c.buf)
+	return err
+}
+
+// read reads exactly n bytes into the scratch. Like binary.Read it
+// returns io.EOF when no byte arrives and io.ErrUnexpectedEOF when the
+// stream ends part-way.
+func (c *codec) read(r io.Reader, n int) ([]byte, error) {
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n) // exact: an object slice can be large
+	}
+	c.buf = c.buf[:n]
+	if _, err := io.ReadFull(r, c.buf); err != nil {
+		return nil, err
+	}
+	return c.buf, nil
+}
+
+func (c *codec) readInt64s(r io.Reader, dst []int64) error {
+	b, err := c.read(r, 8*len(dst))
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = wire.Int64(b[8*i:])
+	}
+	return nil
+}
+
+func (c *codec) readFloat64s(r io.Reader, dst []float64) error {
+	b, err := c.read(r, 8*len(dst))
+	if err != nil {
+		return err
+	}
+	wire.Float64s(dst, b)
+	return nil
+}
+
+// readComplex reads an n x n array of interleaved (re, im) float64s.
+func (c *codec) readComplex(r io.Reader, n int) (*grid.Complex2D, error) {
+	b, err := c.read(r, 16*n*n)
+	if err != nil {
 		return nil, err
 	}
 	a := grid.NewComplex2DSize(n, n)
-	for i := range a.Data {
-		a.Data[i] = complex(buf[2*i], buf[2*i+1])
-	}
+	wire.Complex128s(a.Data, b)
 	return a, nil
 }
 
@@ -148,8 +202,9 @@ func Read(r io.Reader) (*solver.Problem, error) {
 	if m != magic {
 		return nil, fmt.Errorf("dataio: bad magic %q (not a PTYCHOv1 file)", m)
 	}
+	var c codec
 	header := make([]int64, 9)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
+	if err := c.readInt64s(br, header); err != nil {
 		return nil, fmt.Errorf("dataio: reading header: %w", err)
 	}
 	windowN := int(header[0])
@@ -160,13 +215,13 @@ func Read(r io.Reader) (*solver.Problem, error) {
 	if err := checkDatasetHeader(windowN, slices, imageW, imageH, numLoc); err != nil {
 		return nil, err
 	}
-	probe, err := readComplex(br, windowN)
+	probe, err := c.readComplex(br, windowN)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: reading probe: %w", err)
 	}
 	var prop *grid.Complex2D
 	if hasProp {
-		if prop, err = readComplex(br, windowN); err != nil {
+		if prop, err = c.readComplex(br, windowN); err != nil {
 			return nil, fmt.Errorf("dataio: reading propagator: %w", err)
 		}
 	}
@@ -177,22 +232,24 @@ func Read(r io.Reader) (*solver.Problem, error) {
 	}
 	pat.Locations = make([]scan.Location, numLoc)
 	for i := range pat.Locations {
-		var idx int64
-		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
+		// The index and the three coordinates are read apart, so a
+		// stream that ends between them fails as binary.Read did.
+		b, err := c.read(br, 8)
+		if err == nil {
+			pat.Locations[i].Index = int(wire.Int64(b))
+			b, err = c.read(br, 3*8)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("dataio: reading location %d: %w", i, err)
 		}
-		coords := make([]float64, 3)
-		if err := binary.Read(br, binary.LittleEndian, coords); err != nil {
-			return nil, fmt.Errorf("dataio: reading location %d: %w", i, err)
-		}
-		pat.Locations[i] = scan.Location{
-			Index: int(idx), X: coords[0], Y: coords[1], Radius: coords[2],
-		}
+		pat.Locations[i].X = wire.Float64(b)
+		pat.Locations[i].Y = wire.Float64(b[8:])
+		pat.Locations[i].Radius = wire.Float64(b[16:])
 	}
 	meas := make([]*grid.Float2D, numLoc)
 	for i := range meas {
 		a := grid.NewFloat2DSize(windowN, windowN)
-		if err := binary.Read(br, binary.LittleEndian, a.Data); err != nil {
+		if err := c.readFloat64s(br, a.Data); err != nil {
 			return nil, fmt.Errorf("dataio: reading measurement %d: %w", i, err)
 		}
 		meas[i] = a

@@ -2,13 +2,13 @@ package dataio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"ptychopath/internal/grid"
+	"ptychopath/internal/wire"
 )
 
 // Object checkpoints (OBJCKv1) persist a multi-slice complex object —
@@ -58,21 +58,16 @@ func WriteObject(w io.Writer, slices []*grid.Complex2D) error {
 	if _, err := bw.Write(objMagic[:]); err != nil {
 		return err
 	}
-	header := []int64{
+	var c codec
+	if err := c.writeInt64s(bw,
 		int64(len(slices)),
 		int64(bounds.X0), int64(bounds.Y0),
 		int64(bounds.W()), int64(bounds.H()),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
+	); err != nil {
 		return err
 	}
-	buf := make([]float64, 2*bounds.Area())
 	for _, s := range slices {
-		for i, v := range s.Data {
-			buf[2*i] = real(v)
-			buf[2*i+1] = imag(v)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, buf); err != nil {
+		if err := c.writeComplex(bw, s); err != nil {
 			return err
 		}
 	}
@@ -89,8 +84,9 @@ func ReadObject(r io.Reader) ([]*grid.Complex2D, error) {
 	if m != objMagic {
 		return nil, fmt.Errorf("dataio: bad object magic %q", m)
 	}
+	var c codec
 	header := make([]int64, 5)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
+	if err := c.readInt64s(br, header); err != nil {
 		return nil, fmt.Errorf("dataio: reading object header: %w", err)
 	}
 	n := int(header[0])
@@ -104,15 +100,13 @@ func ReadObject(r io.Reader) ([]*grid.Complex2D, error) {
 	}
 	bounds := grid.RectWH(int(header[1]), int(header[2]), w, h)
 	out := make([]*grid.Complex2D, n)
-	buf := make([]float64, 2*w*h)
 	for s := 0; s < n; s++ {
-		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
+		b, err := c.read(br, 16*w*h)
+		if err != nil {
 			return nil, fmt.Errorf("dataio: reading object slice %d: %w", s, err)
 		}
 		a := grid.NewComplex2D(bounds)
-		for i := range a.Data {
-			a.Data[i] = complex(buf[2*i], buf[2*i+1])
-		}
+		wire.Complex128s(a.Data, b)
 		out[s] = a
 	}
 	return out, nil

@@ -2,7 +2,6 @@ package dataio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -146,21 +145,21 @@ func WriteStreamHeader(w io.Writer, h *StreamHeader) error {
 	if h.Prop != nil {
 		hasProp = 1
 	}
-	header := []int64{
+	var c codec
+	if err := c.writeInt64s(bw,
 		int64(h.WindowN), int64(h.Slices),
 		int64(h.ImageW), int64(h.ImageH), hasProp,
-		int64(math.Round(h.StepPix * 1e6)),
-		int64(math.Round(h.RadiusPix * 1e6)),
+		int64(math.Round(h.StepPix*1e6)),
+		int64(math.Round(h.RadiusPix*1e6)),
 		0,
-	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
+	); err != nil {
 		return err
 	}
-	if err := writeComplex(bw, h.Probe); err != nil {
+	if err := c.writeComplex(bw, h.Probe); err != nil {
 		return err
 	}
 	if h.Prop != nil {
-		if err := writeComplex(bw, h.Prop); err != nil {
+		if err := c.writeComplex(bw, h.Prop); err != nil {
 			return err
 		}
 	}
@@ -181,8 +180,9 @@ func readStreamHeader(br *bufio.Reader) (*StreamHeader, error) {
 	if m != streamMagic && m != streamMagicV1 {
 		return nil, fmt.Errorf("dataio: bad magic %q (not a PTYCHSv1/v2 stream)", m)
 	}
+	var c codec
 	header := make([]int64, 8)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
+	if err := c.readInt64s(br, header); err != nil {
 		return nil, fmt.Errorf("dataio: reading stream header: %w", err)
 	}
 	h := &StreamHeader{
@@ -196,11 +196,11 @@ func readStreamHeader(br *bufio.Reader) (*StreamHeader, error) {
 		return nil, err
 	}
 	var err error
-	if h.Probe, err = readComplex(br, h.WindowN); err != nil {
+	if h.Probe, err = c.readComplex(br, h.WindowN); err != nil {
 		return nil, fmt.Errorf("dataio: reading stream probe: %w", err)
 	}
 	if header[4] == 1 {
-		if h.Prop, err = readComplex(br, h.WindowN); err != nil {
+		if h.Prop, err = c.readComplex(br, h.WindowN); err != nil {
 			return nil, fmt.Errorf("dataio: reading stream propagator: %w", err)
 		}
 	}

@@ -8,19 +8,22 @@
 // in-process and distributed runs of one job build identical engines.
 //
 // A plan runs in process (Run), one rank at a time over any transport
-// (RunRank, the grid worker's entry point), and stitches rank outcomes
-// received from elsewhere (Assemble, the grid coordinator's side).
+// (RunRank, the grid worker's entry point, on the rank's Shard of the
+// problem), and stitches rank outcomes received from elsewhere
+// (Assemble, the grid coordinator's side).
 // Every entry point takes the shared solver.Hooks.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ptychopath/internal/collective"
 	"ptychopath/internal/gradsync"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/halo"
+	"ptychopath/internal/scan"
 	"ptychopath/internal/simmpi"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
@@ -176,14 +179,75 @@ func (p *Plan) Run(prob *solver.Problem, init []*grid.Complex2D, h solver.Hooks)
 }
 
 // RunRank executes this process's rank of a parallel plan over comm.
-// Every rank of comm's world must call it with the same plan, prob and
-// init; Assemble stitches the outcomes.
+// Every rank of comm's world must call it with the same plan, and with
+// either the full prob and init or its own Shard of them; Assemble
+// stitches the outcomes.
 func (p *Plan) RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D,
 	h solver.Hooks) (*collective.RankOutcome, error) {
 	if p.rank == nil {
 		return nil, fmt.Errorf("engine: %s is not a parallel algorithm", p.Algorithm)
 	}
 	return p.rank(p, comm, prob, init, h)
+}
+
+// TileBounds returns the halo-extended tile that rank of a parallel
+// plan holds its object on: the region of the warm start it reads and
+// of the result tile it returns. gd's mesh halo and hve's exchange
+// halo are both Halo, so one rectangle serves both engines.
+func (p *Plan) TileBounds(rank int) grid.Rect {
+	r, c := p.Mesh.RowCol(rank)
+	return p.Mesh.ExtendedWithHalo(r, c, p.Halo)
+}
+
+// Shard returns the part of prob and init that rank of a parallel plan
+// computes on, so a remote rank receives only that: the locations the
+// rank owns plus, for hve, its extra rows — each with its global Index,
+// in global order — with their measurements, the shared probe and
+// propagator and the unchanged image geometry, and the warm start
+// restricted to TileBounds(rank). A rank that runs RunRank on its shard
+// selects the same locations in the same order as on the full problem
+// (the mesh depends only on the image bounds, and ownership only on a
+// location's center), so its result is bit-identical. A tile that owns
+// no location gets an empty shard. The shard shares the measurement
+// and probe arrays with prob; the warm-start tile is a copy.
+func (p *Plan) Shard(prob *solver.Problem, init []*grid.Complex2D, rank int) (*solver.Problem, []*grid.Complex2D, error) {
+	if p.rank == nil {
+		return nil, nil, fmt.Errorf("engine: %s is not a parallel algorithm", p.Algorithm)
+	}
+	if rank < 0 || rank >= p.Ranks() {
+		return nil, nil, fmt.Errorf("engine: rank %d outside a %d-rank plan", rank, p.Ranks())
+	}
+	if len(init) != prob.Slices {
+		return nil, nil, fmt.Errorf("engine: %d initial slices, want %d", len(init), prob.Slices)
+	}
+	ext := p.TileBounds(rank)
+	tile := make([]*grid.Complex2D, len(init))
+	for s, sl := range init {
+		if !sl.Bounds.ContainsRect(ext) {
+			return nil, nil, fmt.Errorf("engine: initial slice %d bounds %v do not cover rank %d's tile %v",
+				s, sl.Bounds, rank, ext)
+		}
+		tile[s] = sl.Extract(ext)
+	}
+
+	owned := p.Mesh.AssignLocations(prob.Pattern)
+	idx := owned[rank]
+	if p.Algorithm == HVE {
+		r, c := p.Mesh.RowCol(rank)
+		idx = append(slices.Clone(idx), p.Mesh.ExtraRowLocations(prob.Pattern, owned, r, c, p.ExtraRows)...)
+		slices.Sort(idx)
+	}
+	pat := *prob.Pattern
+	pat.Locations = make([]scan.Location, len(idx))
+	meas := make([]*grid.Float2D, len(idx))
+	for k, i := range idx {
+		pat.Locations[k] = prob.Pattern.Locations[i]
+		meas[k] = prob.Meas[i]
+	}
+	shard := *prob
+	shard.Pattern = &pat
+	shard.Meas = meas
+	return &shard, tile, nil
 }
 
 // Assemble stitches the rank outcomes of a parallel plan, in rank

@@ -2,8 +2,9 @@
 // grid: it dials the coordinator hub (internal/transport), waits for
 // session setups, runs ONE rank of the selected reconstruction engine
 // per session — the engine.Plan the coordinator's in-process run would
-// build, driven over the TCP transport instead of the in-process world —
-// and ships the rank's outcome back for stitching.
+// build, driven over the TCP transport instead of the in-process world,
+// on the rank's own shard of the dataset — and ships the rank's outcome
+// back for stitching.
 //
 // cmd/ptychoworker is a thin flag wrapper around Run; the capstone
 // tests drive Run directly over loopback TCP.
@@ -149,6 +150,10 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	fail := func(err error) *transport.RankResult {
 		return &transport.RankResult{Rank: setup.Rank, Err: err.Error()}
 	}
+	// The blobs hold this rank's shard (engine.Plan.Shard): its own
+	// locations on the full image geometry, and the warm start on its
+	// extended tile. Drop them once decoded — the session keeps the
+	// setup, and the shard is the rank's only resident copy.
 	prob, err := dataio.Read(bytes.NewReader(setup.Problem))
 	if err != nil {
 		return fail(fmt.Errorf("decoding problem: %w", err))
@@ -157,6 +162,7 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	if err != nil {
 		return fail(fmt.Errorf("decoding initial object: %w", err))
 	}
+	setup.Problem, setup.Init = nil, nil
 	plan, err := engine.New(engine.Spec{
 		Algorithm: setup.Algorithm, MeshRows: setup.MeshRows, MeshCols: setup.MeshCols,
 		StepSize: setup.StepSize, Iterations: setup.Iterations,
@@ -170,6 +176,12 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	if plan.Halo != setup.Halo || plan.Halo != setup.HaloWidth {
 		return fail(fmt.Errorf("gridworker: setup halo %d (exchange %d) != %d derived from the %d-px window",
 			setup.Halo, setup.HaloWidth, plan.Halo, prob.WindowN))
+	}
+	if setup.Rank < 0 || setup.Rank >= plan.Ranks() {
+		return fail(fmt.Errorf("gridworker: rank %d outside the %d-tile mesh", setup.Rank, plan.Ranks()))
+	}
+	if tile := plan.TileBounds(setup.Rank); !init[0].Bounds.Eq(tile) {
+		return fail(fmt.Errorf("gridworker: warm start on %v, want rank %d's tile %v", init[0].Bounds, setup.Rank, tile))
 	}
 
 	// Progress plumbing: the engines report iterations and snapshots on

@@ -63,44 +63,43 @@ func (s *Service) GridWorkers() []transport.WorkerInfo {
 // caller flushes a final checkpoint, mirroring the partial-result
 // contract of the in-process engines.
 func (s *Service) executeGrid(j *Job, plan *engine.Plan, init []*grid.Complex2D, h solver.Hooks) ([]*grid.Complex2D, error) {
-	p := j.params
-	// Serialize the dataset and warm-start once; every rank receives
-	// the same blobs, rebuilds the same plan and derives its shard
-	// deterministically from the mesh (see gradsync.RunRank).
-	var probBuf, initBuf bytes.Buffer
-	if err := dataio.Write(&probBuf, j.prob); err != nil {
-		return nil, fmt.Errorf("grid: encoding problem: %w", err)
-	}
-	if err := dataio.WriteObject(&initBuf, init); err != nil {
-		return nil, fmt.Errorf("grid: encoding initial object: %w", err)
-	}
-	setups := make([]*transport.Setup, plan.Ranks())
-	for r := range setups {
-		setups[r] = &transport.Setup{
-			JobID:     j.id,
-			Algorithm: plan.Algorithm,
-			MeshRows:  plan.MeshRows, MeshCols: plan.MeshCols, Halo: plan.Halo,
-			HaloWidth: plan.Halo, ExtraRows: plan.ExtraRows,
-			StepSize: plan.StepSize, Iterations: plan.Iterations,
-			RoundsPerIteration: plan.RoundsPerIteration,
-			IntraWorkers:       plan.IntraWorkers,
-			SnapshotEvery:      h.SnapshotEvery,
-			TimeoutMS:          plan.Timeout.Milliseconds(),
-			Trace:              p.RequestID,
-			Problem:            probBuf.Bytes(), Init: initBuf.Bytes(),
-		}
+	setups, err := gridSetups(plan, j.prob, init, transport.Setup{
+		JobID:     j.id,
+		Algorithm: plan.Algorithm,
+		MeshRows:  plan.MeshRows, MeshCols: plan.MeshCols, Halo: plan.Halo,
+		HaloWidth: plan.Halo, ExtraRows: plan.ExtraRows,
+		StepSize: plan.StepSize, Iterations: plan.Iterations,
+		RoundsPerIteration: plan.RoundsPerIteration,
+		IntraWorkers:       plan.IntraWorkers,
+		SnapshotEvery:      h.SnapshotEvery,
+		TimeoutMS:          plan.Timeout.Milliseconds(),
+		Trace:              j.params.RequestID,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// lastSnap tracks the newest decoded snapshot for the final-
 	// checkpoint-on-failure guarantee; snapshots arrive on hub
 	// goroutines. The workers report run-local indices; the hooks
 	// shift them by the job's StartIter like the in-process engines.
+	//
+	// The setup phase ends when StartSession returns, with every SETUP
+	// on the wire. Progress arrives on hub goroutines, so it waits for
+	// that boundary to be recorded; a snapshot always follows its
+	// iteration's progress on rank 0's connection.
 	var snapMu sync.Mutex
 	var lastSnap []*grid.Complex2D
-	j.beginIterations()
+	dispatched := make(chan struct{})
 	sess, err := s.grid.StartSession(setups, transport.SessionCallbacks{
-		OnIteration:  h.ReportIteration,
-		OnRankTiming: h.ReportRankStats,
+		OnIteration: func(iter int, cost float64) {
+			<-dispatched
+			h.ReportIteration(iter, cost)
+		},
+		OnRankTiming: func(rank, iter int, computeNS, commNS int64) {
+			<-dispatched
+			h.ReportRankStats(rank, iter, computeNS, commNS)
+		},
 		OnSnapshot: func(iter int, object []byte) error {
 			slices, err := dataio.ReadObject(bytes.NewReader(object))
 			if err != nil {
@@ -112,6 +111,8 @@ func (s *Service) executeGrid(j *Job, plan *engine.Plan, init []*grid.Complex2D,
 			return h.Snapshot(iter, slices)
 		},
 	})
+	j.beginIterations()
+	close(dispatched)
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
@@ -157,4 +158,29 @@ func (s *Service) executeGrid(j *Job, plan *engine.Plan, init []*grid.Complex2D,
 		return res.Slices, context.Canceled
 	}
 	return res.Slices, nil
+}
+
+// gridSetups returns one SETUP per rank of plan: a copy of session
+// with the rank's own shard of prob and init (engine.Plan.Shard)
+// encoded as PTYCHOv1 and OBJCKv1 — each rank receives only what it
+// computes on.
+func gridSetups(plan *engine.Plan, prob *solver.Problem, init []*grid.Complex2D, session transport.Setup) ([]*transport.Setup, error) {
+	setups := make([]*transport.Setup, plan.Ranks())
+	for r := range setups {
+		shard, tile, err := plan.Shard(prob, init, r)
+		if err != nil {
+			return nil, fmt.Errorf("grid: %w", err)
+		}
+		var probBuf, initBuf bytes.Buffer
+		if err := dataio.Write(&probBuf, shard); err != nil {
+			return nil, fmt.Errorf("grid: encoding rank %d shard: %w", r, err)
+		}
+		if err := dataio.WriteObject(&initBuf, tile); err != nil {
+			return nil, fmt.Errorf("grid: encoding rank %d warm start: %w", r, err)
+		}
+		s := session
+		s.Problem, s.Init = probBuf.Bytes(), initBuf.Bytes()
+		setups[r] = &s
+	}
+	return setups, nil
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +11,13 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
+	"ptychopath/internal/grid"
 	"ptychopath/internal/gridworker"
+	"ptychopath/internal/phantom"
+	"ptychopath/internal/physics"
+	"ptychopath/internal/scan"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -35,16 +42,76 @@ func startGridWorkers(t *testing.T, s *Service, n int) []context.CancelFunc {
 // TestGridBitIdentical is the capstone: the same gd job run locally
 // (in-process goroutine world) and on a 4-rank loopback-TCP grid must
 // produce byte-for-byte identical final checkpoints and identical cost
-// histories — the unmodified engine over a different transport.
+// histories — the unmodified engine over a different transport, each
+// rank on its own shard of the dataset.
 func TestGridBitIdentical(t *testing.T) {
+	s := assertGridBitIdentical(t, tinyProblem(t),
+		Params{Algorithm: "gd", Iterations: 8, StepSize: 0.02, MeshRows: 2, MeshCols: 2})
+	if s.grid.SessionsStarted() != 1 || s.grid.BytesRouted() == 0 {
+		t.Fatalf("hub stats: %d sessions, %d bytes routed",
+			s.grid.SessionsStarted(), s.grid.BytesRouted())
+	}
+}
+
+// TestGridBitIdenticalHVE: an hve job ships each rank its extra rows
+// (the default ExtraRows of 1) with its shard, and stays bit-identical.
+func TestGridBitIdenticalHVE(t *testing.T) {
+	assertGridBitIdentical(t, tinyProblem(t),
+		Params{Algorithm: "hve", Iterations: 6, StepSize: 0.02, MeshRows: 2, MeshCols: 2})
+}
+
+// TestGridBitIdenticalWarmStart: a non-vacuum InitialObject reaches
+// each rank as its halo-extended tile, and the result stays
+// bit-identical.
+func TestGridBitIdenticalWarmStart(t *testing.T) {
 	prob := tinyProblem(t)
+	init := phantom.RandomObject(prob.Pattern.ImageW, prob.Pattern.ImageH, prob.Slices, 3).Slices
+	assertGridBitIdentical(t, prob, Params{Algorithm: "gd", Iterations: 6, StepSize: 0.02,
+		MeshRows: 2, MeshCols: 2, InitialObject: init})
+}
+
+// TestGridBitIdenticalEmptyTile: a tile that owns no location gets an
+// empty shard, and its rank still takes part in every exchange.
+func TestGridBitIdenticalEmptyTile(t *testing.T) {
+	prob := tinyProblem(t)
+	// Keep only the locations right of or below the image centre, so
+	// the top-left tile of the 2x2 mesh owns none.
+	mid := float64(prob.Pattern.ImageW) / 2
+	pat := *prob.Pattern
+	pat.Locations = nil
+	var meas []*grid.Float2D
+	for i, l := range prob.Pattern.Locations {
+		if l.X > mid || l.Y > mid {
+			pat.Locations = append(pat.Locations, l)
+			meas = append(meas, prob.Meas[i])
+		}
+	}
+	empty := *prob
+	empty.Pattern, empty.Meas = &pat, meas
+	plan, err := engine.New(engine.Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, StepSize: 0.02, Iterations: 1},
+		empty.ImageBounds(), empty.WindowN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owned := plan.Mesh.AssignLocations(empty.Pattern); len(owned[0]) != 0 {
+		t.Fatalf("fixture: tile 0 owns %d locations, want none", len(owned[0]))
+	}
+	assertGridBitIdentical(t, &empty,
+		Params{Algorithm: "gd", Iterations: 6, StepSize: 0.02, MeshRows: 2, MeshCols: 2})
+}
+
+// assertGridBitIdentical runs params on prob locally and on a 4-rank
+// loopback grid and fails unless both runs produce the same cost
+// history and byte-identical final checkpoints. It returns the service
+// for further checks.
+func assertGridBitIdentical(t *testing.T, prob *solver.Problem, params Params) *Service {
+	t.Helper()
 	s := newTestService(t, Config{
 		Workers: 2, QueueDepth: 8, CheckpointEvery: 3,
 		Timeout: 30 * time.Second, GridAddr: "127.0.0.1:0",
 	})
 	startGridWorkers(t, s, 4)
 
-	params := Params{Algorithm: "gd", Iterations: 8, StepSize: 0.02, MeshRows: 2, MeshCols: 2}
 	local, err := s.Submit(prob, params)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +132,9 @@ func TestGridBitIdentical(t *testing.T) {
 	if !gi.Grid {
 		t.Fatal("grid job not marked as grid in Info")
 	}
-	if len(li.CostHistory) != 8 || len(gi.CostHistory) != 8 {
-		t.Fatalf("history lengths %d / %d, want 8", len(li.CostHistory), len(gi.CostHistory))
+	iters := params.Iterations
+	if len(li.CostHistory) != iters || len(gi.CostHistory) != iters {
+		t.Fatalf("history lengths %d / %d, want %d", len(li.CostHistory), len(gi.CostHistory), iters)
 	}
 	for i := range li.CostHistory {
 		if li.CostHistory[i] != gi.CostHistory[i] {
@@ -77,8 +145,8 @@ func TestGridBitIdentical(t *testing.T) {
 
 	localCk, localIter := local.CheckpointPath()
 	gridCk, gridIter := dist.CheckpointPath()
-	if localIter != 8 || gridIter != 8 {
-		t.Fatalf("checkpoint iters %d / %d, want 8", localIter, gridIter)
+	if localIter != iters || gridIter != iters {
+		t.Fatalf("checkpoint iters %d / %d, want %d", localIter, gridIter, iters)
 	}
 	lb, err := os.ReadFile(localCk)
 	if err != nil {
@@ -91,10 +159,48 @@ func TestGridBitIdentical(t *testing.T) {
 	if len(lb) == 0 || string(lb) != string(gb) {
 		t.Fatalf("final checkpoints differ: local %d bytes, grid %d bytes", len(lb), len(gb))
 	}
+	return s
+}
 
-	if s.grid.SessionsStarted() != 1 || s.grid.BytesRouted() == 0 {
-		t.Fatalf("hub stats: %d sessions, %d bytes routed",
-			s.grid.SessionsStarted(), s.grid.BytesRouted())
+// TestGridSetupBytes: on a dataset of the benchmark's shape (256
+// locations, 32 px window) the four SETUP payloads of a 2x2 gd job
+// together stay within 1.25 uploads — each rank receives its shard and
+// tile, not the whole dataset and object.
+func TestGridSetupBytes(t *testing.T) {
+	pat, err := scan.Raster(scan.RasterConfig{Cols: 16, Rows: 16, StepPix: 4, RadiusPix: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meas := make([]*grid.Float2D, pat.N())
+	for i := range meas {
+		meas[i] = grid.NewFloat2DSize(32, 32)
+	}
+	prob := &solver.Problem{Pattern: pat, Meas: meas, Probe: physics.PaperOptics().Probe(32),
+		WindowN: 32, Slices: 1}
+	var upload bytes.Buffer
+	if err := dataio.Write(&upload, prob); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.New(engine.Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, StepSize: 0.01, Iterations: 1},
+		prob.ImageBounds(), prob.WindowN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setups, err := gridSetups(plan, prob, phantom.Vacuum(prob.ImageBounds(), 1).Slices, transport.Setup{JobID: "job-0001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, st := range setups {
+		b, err := transport.EncodeSetup(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(b)
+	}
+	if limit := upload.Len() * 5 / 4; total > limit {
+		t.Fatalf("SETUP payloads total %d B, want at most %d B (1.25 x the %d B upload)",
+			total, limit, upload.Len())
 	}
 }
 

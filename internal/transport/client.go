@@ -153,11 +153,14 @@ func (c *Client) readLoop() {
 		}
 		switch fr.typ {
 		case frameSetup:
-			var s Setup
-			if err := decodeGob(fr.payload, &s); err != nil {
+			s, err := decodeSetup(fr.payload)
+			if err != nil {
 				c.setFatal(err)
 				return
 			}
+			// The setup's blobs alias the payload: hand the read buffer
+			// over to it instead of reusing it for the next frame.
+			rd.scratch = nil
 			c.mu.Lock()
 			// A SETUP opens a fresh session: everything still queued
 			// belongs to a previous one (per-connection TCP ordering —
@@ -171,7 +174,7 @@ func (c *Client) readLoop() {
 			c.sessErr = nil
 			c.onCancel = nil
 			c.pendingCancel = false
-			c.setups = append(c.setups, &s)
+			c.setups = append(c.setups, s)
 			c.mu.Unlock()
 			c.pulse()
 		case frameData:

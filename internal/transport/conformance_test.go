@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -124,8 +125,8 @@ func readRawFrame(t *testing.T, r io.Reader) (typ uint8, payload []byte, crc uin
 	return hdr[4], payload, crc, append(append([]byte(nil), hdr[4:]...), payload...)
 }
 
-// TestHubRefusesV2Worker: the hub speaks exactly ProtoVersion. A v2
-// worker's IEEE-framed HELLO is refused with an IEEE-framed version
+// TestHubRefusesV2Worker: the hub speaks exactly ProtoVersion. A v2 or
+// v3 worker's IEEE-framed HELLO is refused with an IEEE-framed version
 // ERROR (so the old worker can parse it), and after the handshake an
 // IEEE-CRC frame is corrupt on either end of the connection.
 func TestHubRefusesV2Worker(t *testing.T) {
@@ -140,36 +141,40 @@ func TestHubRefusesV2Worker(t *testing.T) {
 		return conn
 	}
 
-	t.Run("v2 hello", func(t *testing.T) {
-		conn := dialHub(t)
-		hello := append(uint32le(2), []byte("v2-worker")...)
-		if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, crc, covered := readRawFrame(t, conn)
-		if typ != frameError {
-			t.Fatalf("frame type 0x%02x, want frameError", typ)
-		}
-		if crc != wire.Checksum(wire.GenIEEE, covered) || crc == wire.Checksum(wire.GenCastagnoli, covered) {
-			t.Fatal("version refusal is not IEEE-framed")
-		}
-		if len(payload) == 0 || payload[0] != codeVersion {
-			t.Fatalf("refusal payload %q, want code %d", payload, codeVersion)
-		}
-		if err := decodeError(payload); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("decoded %v, want ErrVersionMismatch", err)
-		}
-		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-			t.Fatalf("hub kept the refused connection open: %v", err)
-		}
-		if len(h.Workers()) != 0 {
-			t.Fatal("refused worker was registered")
-		}
-	})
+	// v2 workers frame with IEEE CRCs; v3 workers with Castagnoli CRCs
+	// but the unsharded SETUP. Both are refused at HELLO.
+	for _, old := range []uint32{2, 3} {
+		t.Run(fmt.Sprintf("v%d hello", old), func(t *testing.T) {
+			conn := dialHub(t)
+			hello := append(uint32le(old), []byte(fmt.Sprintf("v%d-worker", old))...)
+			if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, crc, covered := readRawFrame(t, conn)
+			if typ != frameError {
+				t.Fatalf("frame type 0x%02x, want frameError", typ)
+			}
+			if crc != wire.Checksum(wire.GenIEEE, covered) || crc == wire.Checksum(wire.GenCastagnoli, covered) {
+				t.Fatal("version refusal is not IEEE-framed")
+			}
+			if len(payload) == 0 || payload[0] != codeVersion {
+				t.Fatalf("refusal payload %q, want code %d", payload, codeVersion)
+			}
+			if err := decodeError(payload); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("decoded %v, want ErrVersionMismatch", err)
+			}
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("hub kept the refused connection open: %v", err)
+			}
+			if len(h.Workers()) != 0 {
+				t.Fatal("refused worker was registered")
+			}
+		})
+	}
 
 	t.Run("ieee frame to hub", func(t *testing.T) {
 		conn := dialHub(t)
-		hello := append(uint32le(ProtoVersion), []byte("v3-worker")...)
+		hello := append(uint32le(ProtoVersion), []byte("v4-worker")...)
 		if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ptychopath/internal/transport"
 )
@@ -22,10 +23,15 @@ func Example_dialAndServe() {
 	defer hub.Close()
 
 	// Two workers dial the coordinator (ptychoworker -connect does
-	// exactly this) and wait for work.
+	// exactly this) and wait for work. The example returns only once
+	// both have shipped their result and hung up: the deferred hub.Close
+	// must not cut a worker off inside SendResult.
 	results := make(chan string, 2)
+	var workers sync.WaitGroup
 	for i := 0; i < 2; i++ {
+		workers.Add(1)
 		go func(i int) {
+			defer workers.Done()
 			c, err := transport.Dial(hub.Addr().String(), transport.DialOptions{
 				Name: fmt.Sprintf("worker-%d", i),
 			})
@@ -73,6 +79,7 @@ func Example_dialAndServe() {
 	if err != nil {
 		panic(err)
 	}
+	workers.Wait()
 	fmt.Println(<-results)
 	fmt.Println(<-results)
 	fmt.Println("session results:", len(ranks))

@@ -361,6 +361,21 @@ func (h *Hub) StartSession(setups []*Setup, cb SessionCallbacks) (*Session, erro
 		return nil, fmt.Errorf("%w: need %d, have %d idle", ErrNoWorkers, size, got)
 	}
 
+	// Encode every SETUP before taking any write lock: the payloads are
+	// the largest frames of a session, and routing stalls while the
+	// locks below are held.
+	payloads := make([][]byte, size)
+	for rank := range s.members {
+		setups[rank].Rank = rank
+		setups[rank].Size = size
+		payload, err := EncodeSetup(setups[rank])
+		if err != nil {
+			s.release()
+			return nil, err
+		}
+		payloads[rank] = payload
+	}
+
 	h.sessions.Add(1)
 	for _, w := range s.members {
 		w.sessCnt.Add(1)
@@ -375,27 +390,16 @@ func (h *Hub) StartSession(setups []*Setup, cb SessionCallbacks) (*Session, erro
 	for _, w := range s.members {
 		w.wmu.Lock()
 	}
-	var setupErr, lostErr error
+	var lostErr error
 	for rank, w := range s.members {
-		setups[rank].Rank = rank
-		setups[rank].Size = size
-		payload, err := encodeGob(setups[rank])
-		if err != nil {
-			setupErr = err
-			break
-		}
-		w.bytesOut.Add(int64(len(payload)))
-		if err := writeFrame(w.conn, frame{typ: frameSetup, src: hubRank, dst: int32(rank), payload: payload}); err != nil {
+		w.bytesOut.Add(int64(len(payloads[rank])))
+		if err := writeFrame(w.conn, frame{typ: frameSetup, src: hubRank, dst: int32(rank), payload: payloads[rank]}); err != nil {
 			lostErr = fmt.Errorf("%w: worker %d: %v", ErrPeerLost, w.id, err)
 			break
 		}
 	}
 	for _, w := range s.members {
 		w.wmu.Unlock()
-	}
-	if setupErr != nil {
-		s.fail(setupErr)
-		return nil, setupErr
 	}
 	if lostErr != nil {
 		s.fail(lostErr)

@@ -47,12 +47,57 @@ func waitWorkers(t *testing.T, h *Hub, n int) {
 	t.Fatalf("hub registered %d workers, want %d", len(h.Workers()), n)
 }
 
+// testSetups gives every rank its own blobs, so a session test can
+// check that each rank received its shard and no other.
 func testSetups(n int) []*Setup {
 	out := make([]*Setup, n)
 	for i := range out {
-		out[i] = &Setup{JobID: "test", Algorithm: "test"}
+		out[i] = &Setup{JobID: "test", Algorithm: "test",
+			Problem: []byte(fmt.Sprintf("problem %d", i)), Init: []byte(fmt.Sprintf("init %d", i))}
 	}
 	return out
+}
+
+// TestSetupCodec: a SETUP payload round-trips every field and both
+// blobs (empty ones too), and a truncated or lying payload is a typed
+// ErrFrameCorrupt, never a panic.
+func TestSetupCodec(t *testing.T) {
+	for _, in := range []*Setup{
+		{JobID: "job-0007", Rank: 2, Size: 4, Algorithm: "hve", MeshRows: 2, MeshCols: 2,
+			Halo: 17, HaloWidth: 17, ExtraRows: 1, StepSize: 0.02, Iterations: 8,
+			RoundsPerIteration: 1, IntraWorkers: 2, SnapshotEvery: 3, TimeoutMS: 30000,
+			Trace: "req-1", Problem: []byte("PTYCHOv1 shard"), Init: []byte("OBJCKv1 tile")},
+		{JobID: "empty"},
+	} {
+		payload, err := EncodeSetup(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := decodeSetup(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Problem, in.Problem) || !bytes.Equal(out.Init, in.Init) {
+			t.Fatalf("blobs %q / %q, want %q / %q", out.Problem, out.Init, in.Problem, in.Init)
+		}
+		hdrIn, hdrOut := *in, *out
+		hdrIn.Problem, hdrIn.Init, hdrOut.Problem, hdrOut.Init = nil, nil, nil, nil
+		if fmt.Sprint(hdrIn) != fmt.Sprint(hdrOut) {
+			t.Fatalf("header %+v, want %+v", hdrOut, hdrIn)
+		}
+		for n := 0; n < len(payload); n++ {
+			if len(in.Init) > 0 && n >= len(payload)-len(in.Init) {
+				break // a shorter Init is still a well-formed payload
+			}
+			if _, err := decodeSetup(payload[:n]); !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("payload cut to %d of %d bytes: got %v, want ErrFrameCorrupt", n, len(payload), err)
+			}
+		}
+	}
+	lying := []byte{0xff, 0xff, 0xff, 0x7f, 0}
+	if _, err := decodeSetup(lying); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("lying gob length: got %v, want ErrFrameCorrupt", err)
+	}
 }
 
 // TestFrameRoundTrip checks the encoder against the decoder, and that
@@ -199,6 +244,10 @@ func TestWorldSemantics(t *testing.T) {
 				rank, size := setup.Rank, setup.Size
 				if rank != c.Rank() || size != c.Size() || size != n {
 					return fmt.Errorf("rank/size mismatch: %d/%d", c.Rank(), c.Size())
+				}
+				if string(setup.Problem) != fmt.Sprintf("problem %d", rank) ||
+					string(setup.Init) != fmt.Sprintf("init %d", rank) {
+					return fmt.Errorf("rank %d received blobs %q / %q", rank, setup.Problem, setup.Init)
 				}
 				// Ring exchange with a tag.
 				c.Send((rank+1)%size, 7, []complex128{complex(float64(rank), 1)})

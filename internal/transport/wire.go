@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"time"
 
 	"ptychopath/internal/wire"
@@ -45,7 +46,12 @@ import (
 // and the handshake reads accept either generation, so a worker of an
 // older version is refused with ErrVersionMismatch rather than dropped
 // as ErrFrameCorrupt.
-const ProtoVersion = 3
+//
+// v4 sharded the session setup: each rank's SETUP carries only its own
+// shard of the dataset and its warm-start tile, as two raw blobs after
+// a small gob header (EncodeSetup), instead of one gob value embedding
+// the whole dataset and object.
+const ProtoVersion = 4
 
 // frameMagic opens every frame on the wire.
 var frameMagic = [4]byte{'P', 'T', 'G', 'W'}
@@ -54,7 +60,7 @@ var frameMagic = [4]byte{'P', 'T', 'G', 'W'}
 const (
 	frameHello      = 0x01 // worker → hub: version + worker name
 	frameWelcome    = 0x02 // hub → worker: version + assigned worker id
-	frameSetup      = 0x03 // hub → worker: gob(Setup) — a session begins
+	frameSetup      = 0x03 // hub → worker: EncodeSetup(Setup) — a session begins
 	frameData       = 0x04 // worker ↔ worker (routed): complex128 payload
 	frameBarrier    = 0x05 // worker → hub: enter barrier
 	frameBarrierOK  = 0x06 // hub → worker: barrier released
@@ -136,14 +142,20 @@ func appendFrame(dst []byte, f frame, g wire.Gen) ([]byte, error) {
 		return dst, fmt.Errorf("%w: payload %d exceeds %d", ErrFrameCorrupt, len(f.payload), maxFramePayload)
 	}
 	start := len(dst)
+	dst = appendFrameHeader(dst, f)
+	dst = append(dst, f.payload...)
+	return wire.AppendUint32(dst, wire.Checksum(g, dst[start+4:])), nil
+}
+
+// appendFrameHeader appends magic through len, the part of a frame
+// that precedes its payload.
+func appendFrameHeader(dst []byte, f frame) []byte {
 	dst = append(dst, frameMagic[:]...)
 	dst = append(dst, f.typ)
 	dst = wire.AppendUint32(dst, uint32(f.src))
 	dst = wire.AppendUint32(dst, uint32(f.dst))
 	dst = wire.AppendUint32(dst, uint32(f.tag))
-	dst = wire.AppendUint32(dst, uint32(len(f.payload)))
-	dst = append(dst, f.payload...)
-	return wire.AppendUint32(dst, wire.Checksum(g, dst[start+4:])), nil
+	return wire.AppendUint32(dst, uint32(len(f.payload)))
 }
 
 // writeFrame encodes and writes one current-generation frame. The
@@ -156,13 +168,17 @@ func writeFrame(w io.Writer, f frame) error {
 // writeFrameGen writes one frame under an explicit checksum
 // generation. Handshake frames (HELLO, and the hub's version-refusal
 // ERROR) pass wire.GenIEEE so a peer of either generation can parse
-// them.
+// them. The payload is written in place, never copied: on a TCP
+// connection header, payload and CRC leave in one vectored write, so a
+// SETUP's shard costs no second buffer.
 func writeFrameGen(w io.Writer, f frame, g wire.Gen) error {
-	buf, err := appendFrame(make([]byte, 0, 4+frameHeaderLen+len(f.payload)+4), f, g)
-	if err != nil {
-		return err
+	if len(f.payload) > maxFramePayload {
+		return fmt.Errorf("%w: payload %d exceeds %d", ErrFrameCorrupt, len(f.payload), maxFramePayload)
 	}
-	_, err = w.Write(buf)
+	hdr := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen), f)
+	crc := wire.AppendUint32(nil, wire.Update(g, wire.Checksum(g, hdr[4:]), f.payload))
+	bufs := net.Buffers{hdr, f.payload, crc}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
@@ -284,10 +300,10 @@ func decodeError(payload []byte) error {
 
 // Setup is the job description a coordinator sends each worker to open
 // a session: which rank it is, the mesh geometry, the engine
-// parameters, and the serialized dataset and initial object. Problem
-// and Init are opaque byte blobs (PTYCHOv1 and OBJCKv1 respectively —
-// see internal/dataio and docs/FORMATS.md); the transport does not
-// interpret them.
+// parameters, and the rank's serialized share of the dataset and
+// initial object. Problem and Init are opaque byte blobs (PTYCHOv1 and
+// OBJCKv1 respectively — see internal/dataio and docs/FORMATS.md); the
+// transport does not interpret them.
 type Setup struct {
 	// JobID names the coordinator-side job this session executes.
 	JobID string
@@ -320,12 +336,66 @@ type Setup struct {
 	// timings are always reported.
 	Trace string
 
-	// Problem is the full PTYCHOv1 dataset; every rank derives its own
-	// shard deterministically from the mesh (tile-by-tile location
-	// assignment), so no per-rank slicing happens coordinator-side.
+	// Problem is this rank's PTYCHOv1 shard of the dataset, cut by the
+	// coordinator (engine.Plan.Shard): the locations the rank owns,
+	// plus hve's extra rows, with their global indices and
+	// measurements, on the full image geometry. A rank receives and
+	// holds only the frames it computes on.
 	Problem []byte
-	// Init is the OBJCKv1 warm-start object on full image bounds.
+	// Init is the OBJCKv1 warm start restricted to the rank's
+	// halo-extended tile (engine.Plan.TileBounds).
 	Init []byte
+}
+
+// EncodeSetup returns the SETUP frame payload for s: a uint32 byte
+// length and the gob encoding of s without its blobs, then a uint32
+// byte length and Problem, then Init to the end of the payload. The
+// blobs travel as raw bytes, so no dataset-sized buffer passes through
+// gob on either side.
+func EncodeSetup(s *Setup) ([]byte, error) {
+	hdr := *s
+	hdr.Problem, hdr.Init = nil, nil
+	var buf bytes.Buffer
+	buf.Write(make([]byte, 4)) // backfilled with the gob length
+	if err := gob.NewEncoder(&buf).Encode(&hdr); err != nil {
+		return nil, fmt.Errorf("transport: encoding setup: %w", err)
+	}
+	gobLen := buf.Len() - 4
+	out := wire.Grow(buf.Bytes(), 4+len(s.Problem)+len(s.Init))
+	binary.LittleEndian.PutUint32(out, uint32(gobLen))
+	off := 4 + gobLen
+	binary.LittleEndian.PutUint32(out[off:], uint32(len(s.Problem)))
+	off += 4 + copy(out[off+4:], s.Problem)
+	copy(out[off:], s.Init)
+	return out, nil
+}
+
+// decodeSetup parses a SETUP payload (EncodeSetup). Problem and Init
+// alias payload, so the caller must hand the payload over rather than
+// reuse it.
+func decodeSetup(payload []byte) (*Setup, error) {
+	short := func() error {
+		return fmt.Errorf("%w: setup payload of %d bytes is truncated", ErrFrameCorrupt, len(payload))
+	}
+	if len(payload) < 4 {
+		return nil, short()
+	}
+	gobLen := uint64(le32(payload))
+	if gobLen > uint64(len(payload)-4) {
+		return nil, short()
+	}
+	var s Setup
+	if err := decodeGob(payload[4:4+gobLen], &s); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
+	}
+	rest := payload[4+gobLen:]
+	if len(rest) < 4 || uint64(le32(rest)) > uint64(len(rest)-4) {
+		return nil, short()
+	}
+	probLen := le32(rest)
+	s.Problem = rest[4 : 4+probLen : 4+probLen]
+	s.Init = rest[4+probLen : len(rest) : len(rest)]
+	return &s, nil
 }
 
 // RankResult is one rank's outcome, shipped worker → hub when its part
